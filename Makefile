@@ -59,17 +59,11 @@ batch-smoke:
 	    --qubits 5 --include-gcd --workers 4 --retries 1
 	PYTHONPATH=src $(PYTHON) -m pytest tests/exec/test_batch.py -q
 
-# Performance-observatory smoke: record fresh BENCH_*.json records for
-# the small workloads, compare them against the committed baselines
-# (informational -- regressions print but do not fail), and exercise a
-# traced multi-process batch end-to-end.
+# Performance smoke: the perfbench self-tests (a quick variant of every
+# repo-benchmark workload, checks included; see perfbench/README.md)
+# and a traced multi-process batch end-to-end.
 perf-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli perf record \
-	    --workloads ghz_16q,grover_5q --repeats 3 \
-	    --out-dir benchmarks/results
-	PYTHONPATH=src $(PYTHON) -m repro.cli perf compare \
-	    --baseline-dir benchmarks/baselines \
-	    --current-dir benchmarks/results --informational
+	$(PYTHON) -m pytest perfbench/tests -q
 	PYTHONPATH=src $(PYTHON) -m repro.cli batch --algorithm grover \
 	    --qubits 5 --workers 2 \
 	    --trace-out benchmarks/results/batch_trace.json

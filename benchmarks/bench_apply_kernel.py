@@ -2,7 +2,7 @@
 
 The "new path" is the :mod:`repro.dd.apply` kernel (gates applied by
 recursing the vector DD directly); the "old path" is the previous
-pipeline, still available as ``Simulator(use_apply_kernel=False)``:
+pipeline, still available as ``SimulatorConfig(use_apply_kernel=False)``:
 build a matrix DD per gate with ``build_gate_dd`` and multiply with
 ``mat_vec``.  Both paths are timed interleaved (min-of-``REPS``, GC
 off, fresh managers) on the paper's workloads -- 8-qubit Grover and
@@ -30,6 +30,7 @@ import pytest
 
 from repro.algorithms.grover import grover_circuit
 from repro.algorithms.gse import gse_circuit
+from repro.api import SimulatorConfig
 from repro.dd.manager import algebraic_gcd_manager, algebraic_manager, numeric_manager
 from repro.evalsuite.reporting import hit_rate_rows
 from repro.sim.simulator import Simulator
@@ -73,7 +74,9 @@ def circuits():
 def _timed_run(operations, num_qubits, factory, use_kernel):
     """One cold simulation on a fresh manager; returns (seconds, manager)."""
     manager = factory(num_qubits)
-    simulator = Simulator(manager, use_apply_kernel=use_kernel)
+    simulator = Simulator(
+        manager, config=SimulatorConfig(use_apply_kernel=use_kernel)
+    )
     state = manager.zero_state()
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -158,8 +161,8 @@ def test_final_states_identical(circuits, kind):
     """Both paths must land on byte-identical canonical final states."""
     for label, (operations, num_qubits) in circuits.items():
         manager = SYSTEMS[kind](num_qubits)
-        kernel_sim = Simulator(manager, use_apply_kernel=True)
-        matrix_sim = Simulator(manager, use_apply_kernel=False)
+        kernel_sim = Simulator(manager)
+        matrix_sim = Simulator(manager, config=SimulatorConfig(use_apply_kernel=False))
         kernel_state = manager.zero_state()
         matrix_state = manager.zero_state()
         for operation in operations:
@@ -170,7 +173,7 @@ def test_final_states_identical(circuits, kind):
         )
 
 
-def test_apply_kernel_report(benchmark, circuits, artifact_writer, bench_recorder):
+def test_apply_kernel_report(benchmark, circuits, artifact_writer):
     rows = []
     cache_sections = []
     grover_label = f"grover-{GROVER_QUBITS}q"
@@ -192,23 +195,6 @@ def test_apply_kernel_report(benchmark, circuits, artifact_writer, bench_recorde
                 cache_sections.append(
                     f"  {label}/{kind} (kernel path)\n"
                     + "\n".join(_hit_rate_lines(manager))
-                )
-                # Machine-readable twin of this row (repro.obs.perf
-                # schema): kernel-path timings, table counters.
-                snapshot = manager.telemetry.metrics.snapshot()
-                bench_recorder(
-                    f"apply_kernel/{label}/{kind}",
-                    kernel_samples,
-                    {"system": kind, "path": "kernel", "workload": label},
-                    {
-                        key: snapshot[key]
-                        for key in (
-                            "dd.apply.direct",
-                            "dd.apply.delegated",
-                            "dd.ct.apply.hit_rate",
-                        )
-                        if key in snapshot
-                    },
                 )
         return len(rows)
 

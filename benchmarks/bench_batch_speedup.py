@@ -185,7 +185,7 @@ def test_batch_speedup(artifact_writer):
         )
 
 
-def test_warm_worker_vs_cold_batch(artifact_writer, bench_recorder):
+def test_warm_worker_vs_cold_batch(artifact_writer):
     """Same-worker repeated circuit: warm tables vs a fresh stack per job.
 
     The persistent service (repro.serve) pins one simulator stack per
@@ -194,7 +194,7 @@ def test_warm_worker_vs_cold_batch(artifact_writer, bench_recorder):
     engine's own workload: N identical Grover jobs through cold
     ``run_batch`` (fresh manager each) vs N ``run_with`` calls on one
     warm simulator -- asserting byte-identical payloads and recording
-    the latency ratio as a ``BENCH_*.json`` twin of the txt artifact.
+    the latency ratio in the txt artifact.
     """
     from repro.api import RunRequest, SimulatorConfig, run_with
 
@@ -238,23 +238,6 @@ def test_warm_worker_vs_cold_batch(artifact_writer, bench_recorder):
         "determinism: all %d payloads byte-identical" % repeats,
     ]
     artifact_writer("warm_vs_cold.txt", "\n".join(lines))
-    bench_recorder(
-        workload="warm_vs_cold_grover_%dq" % GROVER_QUBITS,
-        samples=warm_samples,
-        config={
-            "qubits": GROVER_QUBITS,
-            "iterations": GROVER_ITERATIONS,
-            "repeats": repeats,
-            "system": config.system,
-            "fast": FAST,
-        },
-        counters={
-            "cold_wall_seconds": cold_wall,
-            "cold_per_job_seconds": cold_per_job,
-            "warm_median_seconds": warm_median,
-            "cold_over_warm_ratio": ratio,
-        },
-    )
 
     # Warm tables must at least halve the per-job cost (the serve
     # acceptance bar); in practice the ratio is ~10x.

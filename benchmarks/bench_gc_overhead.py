@@ -21,8 +21,8 @@ import os
 import time
 
 from repro.algorithms.grover import grover_circuit
+from repro.api import SimulatorConfig
 from repro.dd.manager import algebraic_gcd_manager, algebraic_manager, numeric_manager
-from repro.dd.mem import MemoryConfig
 from repro.sim.simulator import Simulator
 
 FAST = os.environ.get("BENCH_FAST") == "1"
@@ -41,9 +41,9 @@ SYSTEMS = {
 }
 
 
-def _timed_run(circuit, factory, gc_config):
+def _timed_run(circuit, factory, config):
     manager = factory(circuit.num_qubits)
-    simulator = Simulator(manager, gc=gc_config)
+    simulator = Simulator(manager, config=config)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     start = time.perf_counter()
@@ -54,9 +54,9 @@ def _timed_run(circuit, factory, gc_config):
     return elapsed, manager, result
 
 
-def test_gc_overhead(artifact_writer, bench_recorder):
+def test_gc_overhead(artifact_writer):
     circuit = grover_circuit(GROVER_QUBITS, 5)
-    config = MemoryConfig(threshold=GC_THRESHOLD)
+    config = SimulatorConfig(gc=GC_THRESHOLD)
     lines = [
         f"garbage-collection overhead on {circuit.name} "
         f"({circuit.num_qubits} qubits, {len(circuit)} gates; "
@@ -83,19 +83,6 @@ def test_gc_overhead(artifact_writer, bench_recorder):
             f"swept_nodes={stats['swept_nodes']} "
             f"peak={stats['peak_resident_nodes']}"
         )
-        # Machine-readable twin (repro.obs.perf schema): gc-on timings
-        # plus the collector's own statistics as counters.
-        bench_recorder(
-            f"gc_overhead/{name}",
-            samples_on,
-            {"system": name, "threshold": GC_THRESHOLD, "gc": "on"},
-            {
-                "collections": stats["collections"],
-                "swept_nodes": stats["swept_nodes"],
-                "peak_resident_nodes": stats["peak_resident_nodes"],
-                "gc_off_best_seconds": best_off,
-            },
-        )
         if ratio > MAX_GC_OVERHEAD:
             failures.append((name, ratio))
     artifact_writer("gc_overhead.txt", "\n".join(lines))
@@ -104,7 +91,7 @@ def test_gc_overhead(artifact_writer, bench_recorder):
 
 def test_gc_peak_reduction(artifact_writer):
     deep = grover_circuit(GROVER_QUBITS, 5, iterations=DEEP_ITERATIONS)
-    config = MemoryConfig(threshold=DEEP_THRESHOLD)
+    config = SimulatorConfig(gc=DEEP_THRESHOLD)
     lines = [
         f"peak resident nodes on the deep workload {deep.name} "
         f"({deep.num_qubits} qubits, {len(deep)} gates; threshold "

@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro.algorithms.grover import grover_circuit
+from repro.api import SimulatorConfig
 from repro.dd.manager import algebraic_gcd_manager, algebraic_manager, numeric_manager
 from repro.sim.simulator import Simulator
 
@@ -37,7 +38,7 @@ SYSTEMS = {
 
 def _timed_run(circuit, factory, sanitize):
     manager = factory(circuit.num_qubits)
-    simulator = Simulator(manager, sanitize=sanitize)
+    simulator = Simulator(manager, config=SimulatorConfig(sanitize=sanitize))
     gc_was_enabled = gc.isenabled()
     gc.disable()
     start = time.perf_counter()
@@ -50,11 +51,11 @@ def _timed_run(circuit, factory, sanitize):
 
 
 def _interleaved_best(circuit, factory):
-    _timed_run(circuit, factory, None)  # warm-up
+    _timed_run(circuit, factory, "off")  # warm-up
     best = {"off": float("inf"), "root": float("inf"), "every-op": float("inf")}
     coverage = None
     for _ in range(REPS):
-        best["off"] = min(best["off"], _timed_run(circuit, factory, None)[0])
+        best["off"] = min(best["off"], _timed_run(circuit, factory, "off")[0])
         elapsed, coverage = _timed_run(circuit, factory, "check-on-root")
         best["root"] = min(best["root"], elapsed)
         best["every-op"] = min(

@@ -46,7 +46,7 @@ def _timed_batch(requests, tracing):
     return elapsed, batch
 
 
-def test_traced_batch_overhead(artifact_writer, bench_recorder):
+def test_traced_batch_overhead(artifact_writer):
     circuit = grover_circuit(GROVER_QUBITS, 5)
     config = SimulatorConfig(system="algebraic-gcd")
     requests = [RunRequest(circuit, config=config)]
@@ -84,15 +84,6 @@ def test_traced_batch_overhead(artifact_writer, bench_recorder):
         ]
     )
     artifact_writer("trace_overhead.txt", report)
-    bench_recorder(
-        f"trace_overhead/grover_{GROVER_QUBITS}q",
-        samples_traced,
-        {"system": config.system, "workers": 1, "tracing": "on"},
-        {
-            "metrics_only_best_seconds": best_plain,
-            "spans_adopted": span_count,
-        },
-    )
     assert identical, "traced batch changed the simulation result"
     assert ratio <= MAX_TRACE_OVERHEAD, (
         f"tracing overhead {ratio:.2f}x exceeds {MAX_TRACE_OVERHEAD}x"

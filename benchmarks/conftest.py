@@ -1,7 +1,6 @@
 """Shared benchmark helpers: result artifact directory and reporting."""
 
 import os
-import time
 
 import pytest
 
@@ -16,30 +15,7 @@ def write_artifact(name: str, text: str) -> None:
         handle.write(text + "\n")
 
 
-def write_bench_record(workload, samples, config, counters):
-    """Persist one versioned ``BENCH_*.json`` record (repro.obs.perf).
-
-    Benches keep writing their human-readable ``.txt`` artifacts; this
-    adds the machine-readable twin that the ``repro-qmdd perf`` tooling
-    and the CI perf-smoke job consume.
-    """
-    from repro.obs import perf
-
-    record = perf.BenchRecord(
-        workload=workload,
-        config=dict(config),
-        timing=perf.TimingStats.from_samples(list(samples)),
-        counters=dict(counters),
-        created_unix=time.time(),
-    )
-    return perf.save_record(record, RESULTS_DIR)
-
-
 @pytest.fixture(scope="session")
 def artifact_writer():
     return write_artifact
 
-
-@pytest.fixture(scope="session")
-def bench_recorder():
-    return write_bench_record

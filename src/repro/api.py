@@ -40,8 +40,8 @@ Quickstart::
         print(job.label, job.node_count)
 
 Direct ``Simulator(...)`` construction outside this module is linted
-against (rule RL008 of ``tools/repro_lint``); loose ``Simulator``
-keyword arguments are deprecated in favour of ``config=``.
+against (rule RL008 of ``tools/repro_lint``); ``Simulator`` takes its
+options only as ``config=``.
 """
 
 from __future__ import annotations

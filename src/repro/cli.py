@@ -47,13 +47,6 @@ Subcommands mirror the evaluation workflow:
     the coordinator's ``exec.batch`` span on track 0, each worker's
     ``exec.job``/``sim.gate`` spans on their own pid track.
 
-``repro-qmdd perf record|compare|report``
-    The performance observatory (see ``repro.obs.perf``): record
-    median-of-N benchmark workloads as versioned ``BENCH_*.json``
-    documents, compare them against the committed baselines in
-    ``benchmarks/baselines/`` with noise-aware bands (non-zero exit on
-    regression), and print result tables.
-
 ``repro-qmdd serve --workers 2 --verify``
     Run an embedded :class:`repro.serve.SimulationService` session: a
     mixed workload across all four number systems goes through the
@@ -61,11 +54,6 @@ Subcommands mirror the evaluation workflow:
     payload byte-identical to the direct :func:`repro.api.run` path,
     and the ``serve.*`` telemetry is printed after a clean shutdown.
     Exit 1 on any mismatch or failed request.
-
-``repro-qmdd serve-bench --qubits 8``
-    The service latency benchmark (see ``repro.serve.bench``): warm
-    repeat-request p50/p99 and throughput vs the cold batch per-job
-    cost, written as ``BENCH_serve_*.json`` via ``repro.obs.perf``.
 
 The simulation flags (``--system``, ``--eps``, ``--gc``,
 ``--sanitize``, ``--workers``) are spelled and defaulted identically
@@ -371,96 +359,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf_record(args: argparse.Namespace) -> int:
-    from repro.errors import BenchFormatError
-    from repro.obs import perf
-
-    names = (
-        [name.strip() for name in args.workloads.split(",") if name.strip()]
-        if args.workloads
-        else perf.workload_names()
-    )
-    records = []
-    try:
-        for name in names:
-            record = perf.record_workload(
-                name, repeats=args.repeats, system=args.system
-            )
-            path = perf.save_record(record, args.out_dir)
-            print(f"recorded {name}: {path}")
-            records.append(record)
-    except BenchFormatError as error:
-        print(f"perf record: {error}", file=sys.stderr)
-        return 2
-    print()
-    print(perf.format_record_report(records))
-    return 0
-
-
-def _cmd_perf_compare(args: argparse.Namespace) -> int:
-    from repro.errors import BenchFormatError
-    from repro.obs import perf
-
-    try:
-        baselines = {
-            record.workload: record
-            for record in map(perf.load_record, perf.list_records(args.baseline_dir))
-        }
-        currents = {
-            record.workload: record
-            for record in map(perf.load_record, perf.list_records(args.current_dir))
-        }
-    except BenchFormatError as error:
-        print(f"perf compare: {error}", file=sys.stderr)
-        return 2
-    if not baselines:
-        print(f"perf compare: no baselines under {args.baseline_dir}", file=sys.stderr)
-        return 2
-    shared = sorted(baselines.keys() & currents.keys())
-    comparisons = []
-    try:
-        for name in shared:
-            comparisons.append(
-                perf.compare_records(
-                    baselines[name], currents[name], min_rel=args.min_rel
-                )
-            )
-    except BenchFormatError as error:
-        print(f"perf compare: {error}", file=sys.stderr)
-        return 2
-    print(perf.format_comparison_report(comparisons))
-    for name in sorted(baselines.keys() - currents.keys()):
-        print(f"note: baseline {name} has no current record (not compared)")
-    for name in sorted(currents.keys() - baselines.keys()):
-        print(f"note: current {name} has no baseline (not compared)")
-    regressed = [c for c in comparisons if c.regressed]
-    if regressed:
-        names = ", ".join(c.workload for c in regressed)
-        if args.informational:
-            print(f"REGRESSED (informational, not gating): {names}")
-            return 0
-        print(f"REGRESSED: {names}")
-        return 1
-    return 0
-
-
-def _cmd_perf_report(args: argparse.Namespace) -> int:
-    from repro.errors import BenchFormatError
-    from repro.obs import perf
-
-    paths = perf.list_records(args.dir)
-    if not paths:
-        print(f"no BENCH_*.json records under {args.dir}")
-        return 0
-    try:
-        records = [perf.load_record(path) for path in paths]
-    except BenchFormatError as error:
-        print(f"perf report: {error}", file=sys.stderr)
-        return 2
-    print(perf.format_record_report(records))
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.api import run
     from repro.serve import SimulationService
@@ -529,51 +427,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"FAIL: {mismatches} payload mismatch(es), {failures} failed request(s)")
         return 1
     print("clean shutdown; all payloads byte-identical" if args.verify else "clean shutdown")
-    return 0
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.obs.perf import BenchRecord, save_record
-    from repro.serve.bench import run_serve_bench
-
-    report = run_serve_bench(
-        qubits=args.qubits,
-        iterations=args.iterations,
-        repeats=args.repeats,
-        workers=args.workers,
-        mode=args.mode,
-    )
-    print(
-        "serve bench: %s (%d gates), %d repeats, %d %s worker(s)"
-        % (
-            report["circuit"]["name"],
-            report["circuit"]["num_gates"],
-            args.repeats,
-            args.workers,
-            args.mode,
-        )
-    )
-    print("  cold per-job   %.4fs  (run_batch workers=1)" % report["cold_per_job_seconds"])
-    print(
-        "  warm p50/p99   %.4fs / %.4fs  (%.1f req/s, cache off)"
-        % (
-            report["warm_p50_seconds"],
-            report["warm_p99_seconds"],
-            report["warm_throughput_rps"],
-        )
-    )
-    print("  cached p50     %.4fs  (canonical-form LRU hit)" % report["cached_p50_seconds"])
-    print("  cold/warm      %.2fx" % report["cold_over_warm_speedup"])
-    if args.out_dir:
-        record = BenchRecord.from_dict(report["record"])
-        path = save_record(record, args.out_dir)
-        print(f"wrote {path}")
-    if report["cold_over_warm_speedup"] < args.min_speedup:
-        print(
-            "FAIL: warm median %.4fs is not <= %.2fx of the cold per-job cost"
-            % (report["warm_p50_seconds"], 1.0 / args.min_speedup)
-        )
-        return 1
     return 0
 
 
@@ -812,70 +665,6 @@ def main(argv: Optional[list] = None) -> int:
     trace.add_argument("--detail", action="store_true")
     trace.set_defaults(func=_cmd_trace)
 
-    perf = sub.add_parser(
-        "perf", help="benchmark observatory: record / compare / report"
-    )
-    perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-
-    perf_record = perf_sub.add_parser(
-        "record", help="run workloads and write BENCH_*.json records"
-    )
-    perf_record.add_argument(
-        "--workloads",
-        default=None,
-        help="comma-separated workload names (default: all; see repro.obs.perf)",
-    )
-    perf_record.add_argument(
-        "--repeats", type=int, default=5, help="timed repeats per workload"
-    )
-    perf_record.add_argument(
-        "--system",
-        choices=SYSTEMS,
-        default=None,
-        help="number system (default: each workload's own)",
-    )
-    perf_record.add_argument(
-        "--out-dir",
-        default="benchmarks/results",
-        help="directory for the BENCH_*.json records",
-    )
-    perf_record.set_defaults(func=_cmd_perf_record)
-
-    perf_compare = perf_sub.add_parser(
-        "compare",
-        help="compare current records against the committed baselines",
-    )
-    perf_compare.add_argument(
-        "--baseline-dir",
-        default="benchmarks/baselines",
-        help="committed baseline records",
-    )
-    perf_compare.add_argument(
-        "--current-dir",
-        default="benchmarks/results",
-        help="freshly recorded BENCH_*.json records",
-    )
-    perf_compare.add_argument(
-        "--min-rel",
-        type=float,
-        default=0.05,
-        help="relative floor of the noise band (fraction of baseline median)",
-    )
-    perf_compare.add_argument(
-        "--informational",
-        action="store_true",
-        help="report regressions but always exit 0 (CI smoke mode)",
-    )
-    perf_compare.set_defaults(func=_cmd_perf_compare)
-
-    perf_report = perf_sub.add_parser(
-        "report", help="print a table of recorded BENCH_*.json files"
-    )
-    perf_report.add_argument(
-        "--dir", default="benchmarks/results", help="record directory"
-    )
-    perf_report.set_defaults(func=_cmd_perf_report)
-
     serve = sub.add_parser(
         "serve",
         help="run an embedded simulation-service session (mixed workload)",
@@ -901,34 +690,6 @@ def main(argv: Optional[list] = None) -> int:
         help="assert every service payload byte-identical to direct run()",
     )
     serve.set_defaults(func=_cmd_serve)
-
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="warm vs cold service latency benchmark (BENCH_serve_*.json)",
-    )
-    serve_bench.add_argument("--qubits", type=int, default=8, help="Grover data qubits")
-    serve_bench.add_argument(
-        "--iterations", type=int, default=6, help="Grover iterations"
-    )
-    serve_bench.add_argument(
-        "--repeats", type=int, default=12, help="timed repeat requests per mode"
-    )
-    serve_bench.add_argument("--workers", type=int, default=1)
-    serve_bench.add_argument(
-        "--mode", choices=("inline", "process"), default="inline"
-    )
-    serve_bench.add_argument(
-        "--out-dir",
-        default="benchmarks/results",
-        help="directory for the BENCH_serve_*.json record ('' = skip)",
-    )
-    serve_bench.add_argument(
-        "--min-speedup",
-        type=float,
-        default=2.0,
-        help="required cold-per-job / warm-median ratio (exit 1 below it)",
-    )
-    serve_bench.set_defaults(func=_cmd_serve_bench)
 
     tradeoff = sub.add_parser(
         "tradeoff", help="run the epsilon sweep", parents=[config_parent]

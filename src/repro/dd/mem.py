@@ -308,7 +308,7 @@ class MemoryManager:
     def configure(
         self, config: Union[MemoryConfig, MemoryBudget, bool, int, None]
     ) -> None:
-        """Replace the trigger policy (``Simulator(gc=...)`` wiring)."""
+        """Replace the trigger policy (``SimulatorConfig(gc=...)`` wiring)."""
         self.config = MemoryConfig.coerce(config)
         self._threshold = self.config.threshold
         self._threshold_gauge.set(self._threshold)

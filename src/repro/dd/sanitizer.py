@@ -36,7 +36,7 @@ carry a stable ``code`` plus the root-to-node path.  The three
     A full check after every gate application (slow; for tests and
     debugging sessions).
 
-``Simulator(manager, sanitize="check-on-root")`` and the
+``SimulatorConfig(sanitize="check-on-root")`` and the
 ``repro-qmdd sanitize`` CLI subcommand are the entry points; the static
 counterpart of this runtime net is ``tools/repro_lint``.
 """

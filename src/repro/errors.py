@@ -135,13 +135,6 @@ class SnapshotMergeError(TelemetryError):
     """
 
 
-class BenchFormatError(TelemetryError):
-    """Raised by :mod:`repro.obs.perf` for malformed ``BENCH_*.json``
-    documents or an unusable baseline store (missing baseline file,
-    schema-version mismatch, workload mismatch between the compared
-    records)."""
-
-
 class ServeError(ReproError):
     """Base class for errors raised by the persistent simulation service
     (:mod:`repro.serve`).  The two typed rejections below are the

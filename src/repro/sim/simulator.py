@@ -17,7 +17,6 @@ representations is a one-argument change::
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -87,107 +86,79 @@ class Simulator:
     ----------
     manager:
         The decision-diagram manager (fixes the number system).
-    record_bit_widths:
-        Collect the max integer bit-width after every gate (slightly
-        costly; needed for the Fig. 5 overhead analysis).
-    use_apply_kernel:
-        Apply gates through the direct vector-DD kernel
-        (:func:`repro.dd.apply.apply_gate`) instead of building a matrix
-        DD and multiplying.  Both paths yield the same canonical state;
-        the kernel skips the identity levels.  ``unitary`` and
-        ``run_matrix_matrix`` always use matrix DDs regardless.
-    sanitize:
-        A :class:`~repro.dd.sanitizer.SanitizerMode` (or its string
-        value / ``True``): ``"off"`` (default), ``"check-on-root"``
-        (full invariant check of the final state of each :meth:`run`)
-        or ``"check-every-op"`` (a full check after every gate).
-        Violations raise :class:`~repro.errors.SanitizerError`.
     telemetry:
         The :class:`~repro.obs.Telemetry` scope for the simulator-level
         instruments (``sim.gates``, ``sim.gate.seconds``, per-gate
         spans).  Defaults to the manager's own scope, so one profile
         covers the whole stack; pass an explicit scope only to separate
         driver metrics from engine metrics.
-    gc:
-        Garbage-collection policy forwarded to the manager's
-        :class:`~repro.dd.mem.MemoryManager` (``True`` for the default
-        policy, an ``int`` node threshold, a
-        :class:`~repro.dd.mem.MemoryBudget` or full
-        :class:`~repro.dd.mem.MemoryConfig`; ``None`` leaves the
-        manager's configuration untouched).  With GC active, :meth:`run`
-        keeps the evolving state registered as a root, gives the
-        collector a chance to run after every gate, and leaves the
-        final state registered (it backs the returned
-        :class:`SimulationResult`).  A configured budget raises
-        :class:`~repro.errors.MemoryBudgetExceeded` mid-run when the
-        live state cannot fit.
     config:
-        A :class:`repro.api.SimulatorConfig` supplying
-        ``record_bit_widths`` / ``use_apply_kernel`` / ``sanitize`` /
-        ``gc`` in one typed object.  This is the supported construction
-        path (:mod:`repro.api` is the facade); passing the loose
-        keyword arguments above instead is **deprecated** and emits a
-        :class:`DeprecationWarning`.  ``config`` and loose kwargs are
-        mutually exclusive.
+        A :class:`repro.api.SimulatorConfig` (``None``: its defaults).
+        The simulator reads four of its fields:
+
+        * ``record_bit_widths`` -- collect the max integer bit-width
+          after every gate (slightly costly; needed for the Fig. 5
+          overhead analysis).  Only then are ``sim.state.max_bit_width``
+          and ``sim.state.bit_width`` registered.
+        * ``use_apply_kernel`` -- apply gates through the direct
+          vector-DD kernel (:func:`repro.dd.apply.apply_gate`) instead
+          of building a matrix DD and multiplying.  Both paths yield the
+          same canonical state; the kernel skips the identity levels.
+          ``unitary`` and ``run_matrix_matrix`` always use matrix DDs.
+        * ``sanitize`` -- a :class:`~repro.dd.sanitizer.SanitizerMode`
+          value: ``"off"``, ``"check-on-root"`` (full invariant check of
+          the final state of each :meth:`run`) or ``"check-every-op"``
+          (a full check after every gate).  Violations raise
+          :class:`~repro.errors.SanitizerError`.
+        * the memory fields, via ``config.memory_config()`` -- when it
+          is not ``None`` it replaces the manager's
+          :class:`~repro.dd.mem.MemoryManager` policy; otherwise the
+          manager's own ``memory=`` policy stands.  With GC active,
+          :meth:`run` keeps the evolving state registered as a root,
+          gives the collector a chance to run after every gate, and
+          leaves the final state registered (it backs the returned
+          :class:`SimulationResult`).  A configured budget raises
+          :class:`~repro.errors.MemoryBudgetExceeded` mid-run when the
+          live state cannot fit.
+
+        Duck-typed (:mod:`repro.api` imports this module); any object
+        with those fields works.
     """
 
     def __init__(
         self,
         manager: DDManager,
-        record_bit_widths: bool = False,
-        use_apply_kernel: bool = True,
-        sanitize: "SanitizerMode | str | bool | None" = None,
         telemetry: Optional[Telemetry] = None,
-        gc: "Any | None" = None,
         config: "Any | None" = None,
     ) -> None:
-        loose = (
-            record_bit_widths is not False
-            or use_apply_kernel is not True
-            or sanitize is not None
-            or gc is not None
-        )
-        if config is not None:
-            # Duck-typed to avoid the repro.api import cycle; any object
-            # with the SimulatorConfig fields works.
-            if loose:
-                raise SimulationError(
-                    "pass either config= or the loose Simulator keyword "
-                    "arguments, not both"
-                )
-            record_bit_widths = config.record_bit_widths
-            use_apply_kernel = config.use_apply_kernel
-            sanitize = None if config.sanitize == "off" else config.sanitize
-            gc = config.memory_config()
-        elif loose:
-            warnings.warn(
-                "loose Simulator keyword arguments (record_bit_widths, "
-                "use_apply_kernel, sanitize, gc) are deprecated; build a "
-                "repro.api.SimulatorConfig and pass config=..., or go "
-                "through repro.api.run / run_batch",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+        if config is None:
+            from repro.api import SimulatorConfig  # deferred: import cycle
+
+            config = SimulatorConfig()
         self.manager = manager
-        self.record_bit_widths = record_bit_widths
-        self.use_apply_kernel = use_apply_kernel
+        self.record_bit_widths = config.record_bit_widths
+        self.use_apply_kernel = config.use_apply_kernel
         self.telemetry = telemetry if telemetry is not None else manager.telemetry
         registry = self.telemetry.metrics
         self._gate_counter = registry.counter("sim.gates")
         self._gate_seconds = registry.histogram("sim.gate.seconds", GATE_SECONDS_BUCKETS)
         self._nodes_gauge = registry.gauge("sim.state.nodes")
         self._peak_nodes_gauge = registry.gauge("sim.state.peak_nodes")
-        self._bit_width_gauge = registry.gauge("sim.state.max_bit_width")
-        self._bit_width_hist = registry.histogram("sim.state.bit_width", BIT_WIDTH_BUCKETS)
-        mode = SanitizerMode.coerce(sanitize)
+        if self.record_bit_widths:
+            self._bit_width_gauge = registry.gauge("sim.state.max_bit_width")
+            self._bit_width_hist = registry.histogram(
+                "sim.state.bit_width", BIT_WIDTH_BUCKETS
+            )
+        mode = SanitizerMode.coerce(config.sanitize)
         self.sanitizer: Optional[Sanitizer] = (
             Sanitizer(manager, mode) if mode is not SanitizerMode.OFF else None
         )
         self._gate_cache: Dict[Tuple, Edge] = {}
         self._entry_cache: Dict[Tuple, Tuple[Any, ...]] = {}
         self._kernel_cache: Dict[Tuple, Any] = {}
-        if gc is not None:
-            manager.memory.configure(gc)
+        memory_config = config.memory_config()
+        if memory_config is not None:
+            manager.memory.configure(memory_config)
         memory = manager.memory
         self._gc_active = memory.config.enabled or memory.config.budget is not None
 

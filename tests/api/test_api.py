@@ -16,7 +16,7 @@ from repro.api import (
     run,
 )
 from repro.dd.manager import algebraic_manager
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.sim.simulator import Simulator
 
 
@@ -123,18 +123,6 @@ class TestDeprecation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             Simulator(algebraic_manager(2))
-
-    def test_loose_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="SimulatorConfig"):
-            Simulator(algebraic_manager(2), sanitize="check-on-root")
-
-    def test_config_and_loose_kwargs_conflict(self):
-        with pytest.raises(SimulationError):
-            Simulator(
-                algebraic_manager(2),
-                config=SimulatorConfig(),
-                use_apply_kernel=False,
-            )
 
     def test_config_path_wires_sanitizer_and_gc(self):
         config = SimulatorConfig(sanitize="check-on-root", gc=100)

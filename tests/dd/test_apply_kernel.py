@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.api import SimulatorConfig
 from repro.circuits import gates
 from repro.circuits.circuit import Circuit
 from repro.dd.apply import apply_gate, prepare_gate
@@ -56,8 +57,8 @@ def test_kernel_matches_matrix_path(kind, seed):
     manager = FACTORIES[kind](num_qubits)
     # Both simulators share one manager, so canonicity makes equal
     # states pointer-equal and ``edges_equal`` is an O(1) check.
-    kernel_sim = Simulator(manager, use_apply_kernel=True)
-    matrix_sim = Simulator(manager, use_apply_kernel=False)
+    kernel_sim = Simulator(manager)
+    matrix_sim = Simulator(manager, config=SimulatorConfig(use_apply_kernel=False))
     kernel_state = manager.zero_state()
     matrix_state = manager.zero_state()
     for index, operation in enumerate(circuit):
@@ -97,7 +98,7 @@ def test_apply_cache_counters(kind):
     """Re-applying a gate to the same state must hit the apply cache,
     and every compute table reports hit/miss/insert counters."""
     manager = FACTORIES[kind](4)
-    simulator = Simulator(manager, use_apply_kernel=True)
+    simulator = Simulator(manager)
     circuit = Circuit(4).h(0).h(1).h(2)
     state = manager.zero_state()
     for operation in circuit:

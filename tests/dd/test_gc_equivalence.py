@@ -18,13 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import SimulatorConfig
 from repro.circuits.circuit import Circuit
 from repro.dd.manager import (
     algebraic_gcd_manager,
     algebraic_manager,
     numeric_manager,
 )
-from repro.dd.mem import MemoryConfig
 from repro.sim.simulator import Simulator
 
 NUM_QUBITS = 3
@@ -36,8 +36,9 @@ MANAGER_FACTORIES = {
     "numeric-tolerant": lambda: numeric_manager(NUM_QUBITS, eps=1e-10),
 }
 
-#: Collect after every single gate, weight sweep included.
-AGGRESSIVE = dict(threshold=1, min_yield=0.0, sweep_weights=True)
+#: Collect after every single gate (the policy sweeps the weight
+#: tables too).
+AGGRESSIVE = SimulatorConfig(gc=1, gc_min_yield=0.0)
 
 
 @st.composite
@@ -78,7 +79,7 @@ class TestGcNeverChangesResults:
         reference = Simulator(factory()).run(circuit).final_amplitudes()
 
         manager = factory()
-        simulator = Simulator(manager, gc=MemoryConfig(**AGGRESSIVE))
+        simulator = Simulator(manager, config=AGGRESSIVE)
         collected = simulator.run(circuit).final_amplitudes()
 
         assert collected.tobytes() == reference.tobytes()

@@ -16,6 +16,7 @@ Satellite fixes under test:
 
 import pytest
 
+from repro.api import SimulatorConfig
 from repro.circuits.circuit import Circuit
 from repro.dd.manager import algebraic_manager, numeric_manager
 from repro.dd.unique_table import ComputeTable, UniqueTable
@@ -132,7 +133,7 @@ class TestApplyRoutingCounters:
         circuit = Circuit(2, name="bell")
         circuit.h(0)
         circuit.cx(0, 1)
-        Simulator(manager, use_apply_kernel=False).run(circuit)
+        Simulator(manager, config=SimulatorConfig(use_apply_kernel=False)).run(circuit)
         stats = manager.statistics()
         assert stats["apply_delegated_ops"] == 0
         assert stats["apply_direct_ops"] == 0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.api import RunRequest, SimulatorConfig, run
 from repro.circuits.circuit import Circuit
 from repro.circuits.library import ghz_circuit, qft_circuit, uniform_superposition
 from repro.dd.manager import algebraic_gcd_manager, algebraic_manager, numeric_manager
@@ -117,8 +118,17 @@ class TestExactness:
 
     def test_bit_width_recording(self):
         circuit = Circuit(2).h(0).t(0).h(0).t(0)
-        result = Simulator(algebraic_manager(2), record_bit_widths=True).run(circuit)
+        config = SimulatorConfig(record_bit_widths=True)
+        result = Simulator(algebraic_manager(2), config=config).run(circuit)
         assert all(step.max_bit_width >= 1 for step in result.trace.steps)
+        # The bit-width instruments exist only while recording, so a
+        # default run exports no always-zero gauge or empty histogram.
+        recorded = run(RunRequest(circuit, config)).metrics
+        assert recorded["sim.state.max_bit_width"] > 0
+        assert "sim.state.bit_width" in recorded
+        default = run(RunRequest(circuit)).metrics
+        assert "sim.state.max_bit_width" not in default
+        assert "sim.state.bit_width" not in default
 
 
 class TestUnitary:
@@ -153,7 +163,9 @@ class TestValidation:
         simulator.run(circuit)
         assert len(simulator._kernel_cache) == 1
         # Matrix-DD fallback: they share one built gate DD.
-        simulator = Simulator(algebraic_manager(2), use_apply_kernel=False)
+        simulator = Simulator(
+            algebraic_manager(2), config=SimulatorConfig(use_apply_kernel=False)
+        )
         simulator.run(circuit)
         assert len(simulator._gate_cache) == 1
 

@@ -180,6 +180,13 @@ class TestParsing:
         with pytest.raises(SystemExit):
             main(["figure", "fig9"])
 
+    def test_perf_subcommand_removed(self, capsys):
+        # perfbench/ is the one performance harness.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["perf"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestBatchTraceOut:
     def test_trace_out_writes_multiprocess_trace(self, tmp_path, capsys):
@@ -203,123 +210,3 @@ class TestBatchTraceOut:
         worker_pids = {e["pid"] for e in events if e["name"] == "exec.job"}
         assert worker_pids and 0 not in worker_pids
 
-
-class TestPerf:
-    def _record(self, directory, repeats=2):
-        return main(
-            ["perf", "record", "--workloads", "ghz_16q",
-             "--repeats", str(repeats), "--out-dir", str(directory)]
-        )
-
-    def test_record_writes_schema_json(self, tmp_path, capsys):
-        import json
-
-        assert self._record(tmp_path) == 0
-        output = capsys.readouterr().out
-        assert "recorded ghz_16q" in output
-        payload = json.loads((tmp_path / "BENCH_ghz_16q.json").read_text())
-        assert payload["schema"] == 1
-        assert payload["workload"] == "ghz_16q"
-        assert payload["timing"]["repeats"] == 2
-        assert payload["counters"]["sim.gates"] == 16
-
-    def test_record_unknown_workload_exits_2(self, tmp_path, capsys):
-        code = main(
-            ["perf", "record", "--workloads", "nope",
-             "--out-dir", str(tmp_path)]
-        )
-        assert code == 2
-        assert "unknown workload" in capsys.readouterr().err
-
-    def test_compare_back_to_back_passes(self, tmp_path, capsys):
-        base, current = tmp_path / "base", tmp_path / "cur"
-        assert self._record(base) == 0
-        assert self._record(current) == 0
-        code = main(
-            ["perf", "compare", "--baseline-dir", str(base),
-             "--current-dir", str(current)]
-        )
-        assert code == 0
-        assert "ok" in capsys.readouterr().out
-
-    def test_compare_flags_injected_2x_slowdown(self, tmp_path, capsys):
-        import json
-
-        base, current = tmp_path / "base", tmp_path / "cur"
-        assert self._record(base) == 0
-        record_path = current / "BENCH_ghz_16q.json"
-        current.mkdir()
-        payload = json.loads((base / "BENCH_ghz_16q.json").read_text())
-        # Pin tight synthetic samples first: a genuinely noisy 2-repeat
-        # recording can carry a MAD wide enough to absorb even a 2x
-        # shift, which is exactly what the band is designed to do.
-        payload["timing"] = {
-            "median_seconds": 1.0,
-            "mad_seconds": 0.01,
-            "repeats": 2,
-            "samples_seconds": [0.99, 1.01],
-        }
-        (base / "BENCH_ghz_16q.json").write_text(json.dumps(payload))
-        timing = dict(payload["timing"])
-        timing["samples_seconds"] = [s * 2 for s in timing["samples_seconds"]]
-        timing["median_seconds"] *= 2
-        timing["mad_seconds"] *= 2
-        payload = dict(payload, timing=timing)
-        record_path.write_text(json.dumps(payload))
-        code = main(
-            ["perf", "compare", "--baseline-dir", str(base),
-             "--current-dir", str(current)]
-        )
-        assert code == 1
-        assert "REGRESSED" in capsys.readouterr().out
-
-    def test_compare_informational_never_gates(self, tmp_path, capsys):
-        import json
-
-        base, current = tmp_path / "base", tmp_path / "cur"
-        assert self._record(base) == 0
-        current.mkdir()
-        payload = json.loads((base / "BENCH_ghz_16q.json").read_text())
-        payload["timing"]["median_seconds"] *= 10
-        payload["timing"]["samples_seconds"] = [
-            s * 10 for s in payload["timing"]["samples_seconds"]
-        ]
-        (current / "BENCH_ghz_16q.json").write_text(json.dumps(payload))
-        code = main(
-            ["perf", "compare", "--baseline-dir", str(base),
-             "--current-dir", str(current), "--informational"]
-        )
-        assert code == 0
-        assert "informational" in capsys.readouterr().out
-
-    def test_compare_without_baselines_exits_2(self, tmp_path, capsys):
-        code = main(
-            ["perf", "compare", "--baseline-dir", str(tmp_path / "none"),
-             "--current-dir", str(tmp_path)]
-        )
-        assert code == 2
-        assert "no baselines" in capsys.readouterr().err
-
-    def test_compare_malformed_record_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "base"
-        bad.mkdir()
-        (bad / "BENCH_x.json").write_text("{broken")
-        code = main(
-            ["perf", "compare", "--baseline-dir", str(bad),
-             "--current-dir", str(tmp_path)]
-        )
-        assert code == 2
-        assert "JSON" in capsys.readouterr().err
-
-    def test_report_lists_records(self, tmp_path, capsys):
-        assert self._record(tmp_path) == 0
-        capsys.readouterr()
-        code = main(["perf", "report", "--dir", str(tmp_path)])
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "ghz_16q" in output and "median" in output
-
-    def test_report_empty_dir(self, tmp_path, capsys):
-        code = main(["perf", "report", "--dir", str(tmp_path)])
-        assert code == 0
-        assert "no BENCH_" in capsys.readouterr().out

@@ -7,7 +7,7 @@ from repro.sim.simulator import Simulator
 
 
 def rogue(manager, circuit):
-    simulator = Simulator(manager, sanitize="check-on-root")  # lint-expect: RL008
+    simulator = Simulator(manager, config=SimulatorConfig())  # lint-expect: RL008
     qualified = sim.simulator.Simulator(manager)  # lint-expect: RL008
     return simulator.run(circuit), qualified
 
