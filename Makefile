@@ -33,10 +33,15 @@ typecheck:
 	    || echo "mypy not installed; skipping (pip install mypy to run locally)"
 
 # Fast end-to-end sanitizer run: simulate under check-every-op and fail
-# on any invariant violation.
+# on any invariant violation.  Both exact normalisations (Algorithm 2 on
+# Q[omega], Algorithm 3 on D[omega]) and the numeric system are covered.
 sanitize-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --algorithm grover \
+	    --qubits 5 --system algebraic --mode check-every-op
+	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --algorithm grover \
 	    --qubits 5 --system algebraic-gcd --mode check-every-op
+	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --algorithm bwt \
+	    --system algebraic-gcd --mode check-every-op
 	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --algorithm grover \
 	    --qubits 5 --system numeric --eps 1e-12 --mode check-every-op
 

@@ -124,14 +124,21 @@ class Edge:
 
 
 def iter_nodes(edge: Edge) -> Iterator[Node]:
-    """Yield every distinct non-terminal node reachable from ``edge``."""
+    """Yield every distinct non-terminal node reachable from ``edge``
+    (depth first, each node's children visited last-to-first)."""
     seen = set()
-    stack = [edge.node]
+    stack = [edge.node] if edge.node.level else []
+    pop = stack.pop
+    push = stack.append
     while stack:
-        node = stack.pop()
-        if node.is_terminal or node.uid in seen:
+        node = pop()
+        if node in seen:
             continue
-        seen.add(node.uid)
+        seen.add(node)
         yield node
         for child in node.edges:
-            stack.append(child.node)
+            # Terminal and already-visited children would be skipped on
+            # pop anyway; filtering them here keeps the visiting order.
+            target = child.node
+            if target.level and target not in seen:
+                push(target)

@@ -212,9 +212,14 @@ class DDManager:
                 metrics[f"{prefix}.{key}"] = value
         for table in self._compute_tables():
             stats = table.statistics()
+            hits, misses = stats["hits"], stats["misses"]
+            if not (hits or misses or stats["inserts"]):
+                # Never probed on this manager (the matrix-DD tables under
+                # the apply kernel): every key would read 0, so none is
+                # exported until the table is used.
+                continue
             for key, stat in stats.items():
                 metrics[f"dd.ct.{table.name}.{key}"] = stat
-            hits, misses = stats["hits"], stats["misses"]
             metrics[f"dd.ct.{table.name}.hit_rate"] = (
                 hits / (hits + misses) if hits + misses else 0.0
             )
@@ -708,8 +713,26 @@ class DDManager:
         return grid
 
     def node_count(self, edge: Edge) -> int:
-        """Number of distinct non-terminal nodes (the paper's size metric)."""
-        return sum(1 for _ in iter_nodes(edge))
+        """Number of distinct non-terminal nodes (the paper's size metric).
+
+        The simulator calls this after every gate, so it is a tight loop
+        rather than a walk over :func:`iter_nodes`.
+        """
+        root = edge.node
+        if not root.level:
+            return 0
+        seen = {root}
+        stack = [root]
+        pop = stack.pop
+        push = stack.append
+        add = seen.add
+        while stack:
+            for child in pop().edges:
+                node = child.node
+                if node.level and node not in seen:
+                    add(node)
+                    push(node)
+        return len(seen)
 
     def max_bit_width(self, edge: Edge) -> int:
         """Largest integer bit-width over all edge weights (0 for numeric).
@@ -929,11 +952,12 @@ class DDManager:
             "matrix_nodes": snap["dd.nodes.matrix"],
             "apply_direct_ops": snap["dd.apply.direct"],
             "apply_delegated_ops": snap["dd.apply.delegated"],
-            "add_cache": compute["add"]["size"],
-            "mat_vec_cache": compute["mat_vec"]["size"],
-            "mat_mat_cache": compute["mat_mat"]["size"],
-            "kron_cache": compute["kron"]["size"],
-            "apply_cache": compute["apply"]["size"],
+            # Unused compute tables export no keys (see _collect_metrics).
+            "add_cache": compute.get("add", {}).get("size", 0),
+            "mat_vec_cache": compute.get("mat_vec", {}).get("size", 0),
+            "mat_mat_cache": compute.get("mat_mat", {}).get("size", 0),
+            "kron_cache": compute.get("kron", {}).get("size", 0),
+            "apply_cache": compute.get("apply", {}).get("size", 0),
             "unique_tables": unique,
             "compute_tables": compute,
             "weights": weights,

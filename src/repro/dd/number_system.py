@@ -34,13 +34,24 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from math import gcd as _int_gcd
+from operator import methodcaller
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dd.unique_table import ComputeTable
 from repro.errors import DDError, InexactDivisionError
 from repro.numeric.complex_table import ComplexEntry, ComplexTable
-from repro.rings.domega import DOmega
-from repro.rings.qomega import QOmega
+from repro.rings.domega import (
+    ONE_KEY as DOMEGA_ONE_KEY,
+    DOmega,
+    domega_add,
+    domega_canonical_associate,
+    domega_conj,
+    domega_divide,
+    domega_mul,
+    domega_numerator_norm,
+    domega_unit_inverse,
+)
+from repro.rings.qomega import QOmega, qomega_add, qomega_conj, qomega_inverse, qomega_mul
 
 __all__ = [
     "NumberSystem",
@@ -107,7 +118,8 @@ class WeightTable:
         Note on counters: the number systems bind ``_by_identity.get``
         directly for their identity fast path, so ``hits``/``misses``
         describe the *fallback* probes that reach this method -- i.e.
-        values seen through a fresh Python object.
+        values seen through a fresh Python object -- and the key-first
+        probes of :meth:`intern_key`.
         """
         eid = self._by_identity.get(id(value))
         if eid is not None:
@@ -117,16 +129,36 @@ class WeightTable:
         eid = self._by_key.get(key)
         if eid is None:
             self.misses += 1
-            eid = len(self._values)
-            self._values.append(value)
-            self._by_key[key] = eid
-            self._by_identity[id(value)] = eid
-            if self._width_of is not None:
-                width = self._width_of(value)
-                if width > self.max_bit_width:
-                    self.max_bit_width = width
-        else:
-            self.hits += 1
+            return self._insert(key, value)
+        self.hits += 1
+        return eid
+
+    def intern_key(self, key: Tuple, build: Callable[[Tuple], Any]) -> Any:
+        """The canonical instance registered under the canonical ring
+        ``key``, made by ``build(key)`` only if the table has never seen it.
+
+        Key-first interning: arithmetic results arrive as integer keys,
+        and most of them are already registered, so no ring object is
+        built just to be thrown away after the lookup.
+        """
+        eid = self._by_key.get(key)
+        if eid is None:
+            self.misses += 1
+            value = build(key)
+            self._insert(key, value)
+            return value
+        self.hits += 1
+        return self._values[eid]
+
+    def _insert(self, key: Tuple, value: Any) -> int:
+        eid = len(self._values)
+        self._values.append(value)
+        self._by_key[key] = eid
+        self._by_identity[id(value)] = eid
+        if self._width_of is not None:
+            width = self._width_of(value)
+            if width > self.max_bit_width:
+                self.max_bit_width = width
         return eid
 
     def intern(self, value: Any) -> Any:
@@ -577,11 +609,19 @@ class _InternedAlgebraicSystem(NumberSystem):
     #: (``rings.<ring_name>.bit_width``).
     ring_name: str = "ring"
 
+    # Integer-level ring kernels on canonical keys (repro.rings), and the
+    # trusted constructor that wraps a canonical key on a table insert;
+    # bound per instance by the concrete systems.
+    _mul_keys: Callable[[Any, Any], Any]
+    _add_keys: Callable[[Any, Any], Any]
+    _conj_key: Callable[[Any], Any]
+    _from_key: Callable[[Any], Any]
+
     def __init__(self) -> None:
         # Probe coefficient bit-widths on the cold insert path only, so
         # the ``rings.<ring>.bit_width`` high-water mark costs nothing
         # on interned-value hits.
-        self.table = WeightTable(width_of=self._width_of)
+        self.table = WeightTable(width_of=methodcaller("max_bit_width"))
         self._zero = self.table.intern(self._raw_zero())
         self._one = self.table.intern(self._raw_one())
         self._mul_memo = ComputeTable("weight_mul", 1 << 17)
@@ -645,7 +685,7 @@ class _InternedAlgebraicSystem(NumberSystem):
         memo_key = (left_id, right_id)
         result = self._add_memo.get(memo_key)
         if result is None:
-            result = self.table.intern(self.table.value(left_id) + self.table.value(right_id))
+            result = self.table.intern_key(self._add_keys(left.key(), right.key()), self._from_key)
             self._add_memo.put(memo_key, result)
         return result
 
@@ -668,7 +708,7 @@ class _InternedAlgebraicSystem(NumberSystem):
         memo_key = (left_id, right_id)
         result = self._mul_memo.get(memo_key)
         if result is None:
-            result = self.table.intern(self.table.value(left_id) * self.table.value(right_id))
+            result = self.table.intern_key(self._mul_keys(left.key(), right.key()), self._from_key)
             self._mul_memo.put(memo_key, result)
         return result
 
@@ -679,7 +719,7 @@ class _InternedAlgebraicSystem(NumberSystem):
         memo_key = self.table.intern_id(value)
         result = self._conj_memo.get(memo_key)
         if result is None:
-            result = self.table.intern(value.conj())
+            result = self.table.intern_key(self._conj_key(value.key()), self._from_key)
             self._conj_memo.put(memo_key, result)
         return result
 
@@ -730,13 +770,19 @@ class _InternedAlgebraicSystem(NumberSystem):
                 if ratio0 is not None and ratio1 is not None:
                     base = self.normalize_keyed((ratio0, ratio1))
                     return (self.mul(pivot, base[0]), base[1], base[2])
+        # ``_raw_normalize`` builds its results through the interning
+        # arithmetic above, so they are registered instances already: the
+        # identity probe finds them without a counted table round trip.
         eta, normalized = self._raw_normalize(weights)
-        interned = tuple(self.table.intern(weight) for weight in normalized)
-        return (
-            self.table.intern(eta),
-            interned,
-            tuple(self.table.intern_id(weight) for weight in interned),
-        )
+        ids = tuple(self._canonical_id(weight) for weight in normalized)
+        values = self.table.value
+        return (values(self._canonical_id(eta)), tuple(values(eid) for eid in ids), ids)
+
+    def _canonical_id(self, value: Any) -> int:
+        """The weight id of ``value``: one identity probe for a registered
+        instance, the counted :meth:`WeightTable.intern_id` otherwise."""
+        eid = self._id_of(id(value))
+        return eid if eid is not None else self.table.intern_id(value)
 
     # -- predicates -----------------------------------------------------
 
@@ -799,10 +845,6 @@ class _InternedAlgebraicSystem(NumberSystem):
     def bit_width(self, value: Any) -> int:
         return value.max_bit_width()
 
-    @staticmethod
-    def _width_of(value: Any) -> int:
-        return int(value.max_bit_width())
-
     def metric_values(self) -> Dict[str, float]:
         prefix = f"rings.{self.ring_name}"
         return {
@@ -862,6 +904,17 @@ class AlgebraicQOmegaSystem(_InternedAlgebraicSystem):
     name = "algebraic-q"
     ring_name = "qomega"
 
+    def __init__(self) -> None:
+        super().__init__()
+        self._mul_keys = qomega_mul
+        self._add_keys = qomega_add
+        self._conj_key = qomega_conj
+        self._from_key = QOmega.from_canonical_key
+        # Algorithm 2 divides by the same few pivots over and over; their
+        # field inverses (canonical keys, not interned weights) are
+        # memoised per weight id.
+        self._inverse_memo = ComputeTable("weight_inverse", 1 << 15)
+
     def _raw_zero(self) -> QOmega:
         return QOmega.zero()
 
@@ -883,7 +936,8 @@ class AlgebraicQOmegaSystem(_InternedAlgebraicSystem):
         if pivot_index < 0:
             raise DDError("normalize called on all-zero weights")
         eta = weights[pivot_index]
-        inverse = eta.inverse()
+        inverse = self._inverse_key(eta, self._canonical_id(eta))
+        intern_key = self.table.intern_key
         normalized = []
         for index, weight in enumerate(weights):
             if weight.is_zero():
@@ -891,20 +945,45 @@ class AlgebraicQOmegaSystem(_InternedAlgebraicSystem):
             elif index == pivot_index:
                 normalized.append(self._one)
             else:
-                normalized.append(weight * inverse)
+                normalized.append(intern_key(qomega_mul(weight.key(), inverse), self._from_key))
         return (eta, tuple(normalized))
+
+    def _inverse_key(self, value: QOmega, value_id: int) -> Tuple[int, ...]:
+        """The canonical key of ``1 / value`` (memoised per weight id)."""
+        inverse = self._inverse_memo.get(value_id)
+        if inverse is None:
+            inverse = qomega_inverse(value.key())
+            self._inverse_memo.put(value_id, inverse)
+        return inverse
 
     def division_helper(self, numerator: QOmega, denominator: QOmega) -> Optional[QOmega]:
         if denominator.is_zero():
             return None
-        numerator_id = self.table.intern_id(numerator)
-        denominator_id = self.table.intern_id(denominator)
+        id_of = self._id_of
+        numerator_id = id_of(id(numerator))
+        if numerator_id is None:
+            numerator_id = self.table.intern_id(numerator)
+        denominator_id = id_of(id(denominator))
+        if denominator_id is None:
+            denominator_id = self.table.intern_id(denominator)
         memo_key = (numerator_id, denominator_id)
         result = self._div_memo.get(memo_key)
         if result is None:
-            result = self.table.intern(numerator * denominator.inverse())
+            result = self.table.intern_key(
+                qomega_mul(numerator.key(), self._inverse_key(denominator, denominator_id)),
+                self._from_key,
+            )
             self._div_memo.put(memo_key, result)
         return result
+
+    def weight_statistics(self) -> Dict[str, Dict[str, int]]:
+        stats = super().weight_statistics()
+        stats[self._inverse_memo.name] = self._inverse_memo.statistics()
+        return stats
+
+    def _weight_memos(self) -> Tuple[ComputeTable, ...]:
+        # Keyed by weight ids, which a sweep may tombstone.
+        return super()._weight_memos() + (self._inverse_memo,)
 
 
 # ---------------------------------------------------------------------------
@@ -933,6 +1012,10 @@ class AlgebraicGcdSystem(_InternedAlgebraicSystem):
 
     def __init__(self) -> None:
         super().__init__()
+        self._mul_keys = domega_mul
+        self._add_keys = domega_add
+        self._conj_key = domega_conj
+        self._from_key = DOmega.from_canonical_key
         # canonical_associate is a fundamental-unit walk plus a
         # lexicographic scan; the same pivot quotients recur across many
         # weight tuples, so memoise per canonical key.
@@ -992,7 +1075,7 @@ class AlgebraicGcdSystem(_InternedAlgebraicSystem):
         # divides the unit 2.
         norm_gcd = 0
         for weight in nonzero:
-            norm_gcd = _int_gcd(norm_gcd, weight.numerator_euclidean_norm())
+            norm_gcd = _int_gcd(norm_gcd, domega_numerator_norm(weight.key()))
             if norm_gcd == 1:
                 break
         if norm_gcd & (norm_gcd - 1) == 0:
@@ -1013,16 +1096,22 @@ class AlgebraicGcdSystem(_InternedAlgebraicSystem):
                 divisor = DOmega.gcd(nonzero)
         # Algorithm 3 lines 5-10: adjust the GCD by a unit so the leftmost
         # non-zero weight becomes its canonical associate.
-        unit_divisor = divisor.k == 0 and divisor.zeta.is_one()
-        pivot_quotient = pivot if unit_divisor else pivot.exact_divide(divisor)
-        assoc_key = pivot_quotient.key()
+        divisor_key = divisor.key()
+        unit_divisor = divisor_key == DOMEGA_ONE_KEY
+        assoc_key = pivot.key() if unit_divisor else domega_divide(pivot.key(), divisor_key)
+        if assoc_key is None:  # pragma: no cover - a gcd divides the pivot
+            raise InexactDivisionError(f"gcd {divisor!r} does not divide {pivot!r}")
+        intern_key = self.table.intern_key
+        from_key = self._from_key
         pair = self._assoc_memo.get(assoc_key)
         if pair is None:
-            _canonical, unit = pivot_quotient.canonical_associate()
-            pair = (self.table.intern(unit), self.table.intern(unit.unit_inverse()))
+            _canonical, unit_key = domega_canonical_associate(assoc_key)
+            inverse_key = domega_unit_inverse(unit_key)
+            if inverse_key is None:  # pragma: no cover - associates differ by units
+                raise InexactDivisionError(f"{unit_key!r} is not a unit of D[omega]")
+            pair = (intern_key(unit_key, from_key), intern_key(inverse_key, from_key))
             self._assoc_memo.put(assoc_key, pair)
         unit, unit_inverse = pair
-        eta = unit if unit_divisor else divisor * unit
         division_helper = self.division_helper
         mul = self.mul
         normalized = []
@@ -1032,7 +1121,9 @@ class AlgebraicGcdSystem(_InternedAlgebraicSystem):
             else:
                 quotient = weight if unit_divisor else division_helper(weight, divisor)
                 normalized.append(mul(quotient, unit_inverse))
-        return (eta, tuple(normalized))
+        if unit_divisor:
+            return (unit, tuple(normalized))
+        return (intern_key(domega_mul(divisor_key, unit.key()), from_key), tuple(normalized))
 
     def weight_statistics(self) -> Dict[str, Dict[str, int]]:
         stats = super().weight_statistics()
@@ -1057,9 +1148,10 @@ class AlgebraicGcdSystem(_InternedAlgebraicSystem):
         memo_key = (numerator_id, denominator_id)
         result = self._div_memo.get(memo_key)
         if result is None:
-            try:
-                result = self.table.intern(numerator.exact_divide(denominator))
-            except InexactDivisionError:
+            quotient = domega_divide(numerator.key(), denominator.key())
+            if quotient is None:
                 result = _INEXACT
+            else:
+                result = self.table.intern_key(quotient, self._from_key)
             self._div_memo.put(memo_key, result)
         return None if result is _INEXACT else result

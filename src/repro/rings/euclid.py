@@ -21,9 +21,21 @@ from itertools import product
 from typing import Tuple
 
 from repro.errors import ZeroDivisionRingError
-from repro.rings.zomega import ZOmega
+from repro.rings.zomega import (
+    Coefficients,
+    ZOmega,
+    coefficients_euclidean_norm,
+    coefficients_inverse,
+    coefficients_mul,
+)
 
-__all__ = ["euclidean_divmod", "gcd_zomega", "gcd_many"]
+__all__ = [
+    "coefficients_divmod",
+    "coefficients_gcd",
+    "euclidean_divmod",
+    "gcd_many",
+    "gcd_zomega",
+]
 
 
 def _round_ratio_half_even(numerator: int, denominator: int) -> int:
@@ -40,17 +52,64 @@ def _round_ratio_half_even(numerator: int, denominator: int) -> int:
     return floor + (floor & 1)
 
 
-def _quotient_ratio(z1: ZOmega, z2: ZOmega) -> Tuple[Tuple[int, int, int, int], int]:
-    """The exact coefficients of ``z1 / z2`` in ``Q[omega]`` as an
-    integer coefficient quadruple over a positive common denominator."""
-    u, v = z2.norm_zsqrt2()
-    # (u - v*sqrt2) = v*w^3 + 0*w^2 - v*w + u
-    numerator = z1 * z2.conj() * ZOmega(v, 0, -v, u)
-    denominator = u * u - 2 * v * v
+def _remainder(x: Coefficients, quotient: Coefficients, y: Coefficients) -> Coefficients:
+    """``x - quotient * y``."""
+    qa, qb, qc, qd = coefficients_mul(quotient, y)
+    return (x[0] - qa, x[1] - qb, x[2] - qc, x[3] - qd)
+
+
+def coefficients_divmod(
+    x: Coefficients, y: Coefficients
+) -> Tuple[Coefficients, Coefficients]:
+    """:func:`euclidean_divmod` on bare coefficient quadruples."""
+    if not (y[0] or y[1] or y[2] or y[3]):
+        raise ZeroDivisionRingError("Euclidean division by zero in Z[omega]")
+    # The exact quotient in Q[omega] is x * p / n (see coefficients_inverse).
+    pa, pb, pc, pd, denominator = coefficients_inverse(*y)
+    numerator = coefficients_mul(x, (pa, pb, pc, pd))
+    bound = abs(denominator)
     if denominator < 0:
-        numerator = -numerator
-        denominator = -denominator
-    return numerator.coefficients(), denominator
+        numerator = (-numerator[0], -numerator[1], -numerator[2], -numerator[3])
+    rounded = (
+        _round_ratio_half_even(numerator[0], bound),
+        _round_ratio_half_even(numerator[1], bound),
+        _round_ratio_half_even(numerator[2], bound),
+        _round_ratio_half_even(numerator[3], bound),
+    )
+    remainder = _remainder(x, rounded, y)
+    best_norm = coefficients_euclidean_norm(*remainder)
+    if best_norm < bound:
+        return (rounded, remainder)
+    # Nearest-integer rounding can fail on the boundary of the fundamental
+    # domain; scan the neighbouring lattice quotients (norm-Euclideanity
+    # guarantees a suitable one exists).
+    best = (rounded, remainder)
+    for offsets in product((-1, 0, 1), repeat=4):
+        candidate = (
+            rounded[0] + offsets[0],
+            rounded[1] + offsets[1],
+            rounded[2] + offsets[2],
+            rounded[3] + offsets[3],
+        )
+        candidate_remainder = _remainder(x, candidate, y)
+        candidate_norm = coefficients_euclidean_norm(*candidate_remainder)
+        if candidate_norm < best_norm:
+            best = (candidate, candidate_remainder)
+            best_norm = candidate_norm
+            if best_norm < bound:
+                break
+    if best_norm >= bound:  # pragma: no cover - mathematically unreachable
+        raise ArithmeticError(f"Euclidean step failed for {x!r} / {y!r}")
+    return best
+
+
+def coefficients_gcd(x: Coefficients, y: Coefficients) -> Coefficients:
+    """:func:`gcd_zomega` on bare coefficient quadruples."""
+    if not (x[0] or x[1] or x[2] or x[3]):
+        return y
+    while y[0] or y[1] or y[2] or y[3]:
+        x, y = y, coefficients_divmod(x, y)[1]
+    return x
 
 
 def euclidean_divmod(z1: ZOmega, z2: ZOmega) -> Tuple[ZOmega, ZOmega]:
@@ -58,32 +117,8 @@ def euclidean_divmod(z1: ZOmega, z2: ZOmega) -> Tuple[ZOmega, ZOmega]:
 
     Raises :class:`ZeroDivisionRingError` for a zero divisor.
     """
-    if z2.is_zero():
-        raise ZeroDivisionRingError("Euclidean division by zero in Z[omega]")
-    coefficients, denominator = _quotient_ratio(z1, z2)
-    rounded = [_round_ratio_half_even(coefficient, denominator) for coefficient in coefficients]
-    quotient = ZOmega(*rounded)
-    remainder = z1 - quotient * z2
-    bound = z2.euclidean_norm()
-    if remainder.euclidean_norm() < bound:
-        return (quotient, remainder)
-    # Nearest-integer rounding can fail on the boundary of the fundamental
-    # domain; scan the neighbouring lattice quotients (norm-Euclideanity
-    # guarantees a suitable one exists).
-    best: Tuple[ZOmega, ZOmega] = (quotient, remainder)
-    best_norm = remainder.euclidean_norm()
-    for offsets in product((-1, 0, 1), repeat=4):
-        candidate = ZOmega(*(base + offset for base, offset in zip(rounded, offsets)))
-        candidate_remainder = z1 - candidate * z2
-        candidate_norm = candidate_remainder.euclidean_norm()
-        if candidate_norm < best_norm:
-            best = (candidate, candidate_remainder)
-            best_norm = candidate_norm
-            if best_norm < bound:
-                break
-    if best_norm >= bound:  # pragma: no cover - mathematically unreachable
-        raise ArithmeticError(f"Euclidean step failed for {z1!r} / {z2!r}")
-    return best
+    quotient, remainder = coefficients_divmod(z1.coefficients(), z2.coefficients())
+    return (ZOmega(*quotient), ZOmega(*remainder))
 
 
 def gcd_zomega(z1: ZOmega, z2: ZOmega) -> ZOmega:
@@ -93,14 +128,7 @@ def gcd_zomega(z1: ZOmega, z2: ZOmega) -> ZOmega:
     (Algorithm 3's normalisation) applies its own unit-selection rules
     afterwards.  ``gcd(0, 0) = 0`` by convention.
     """
-    if z1.is_zero():
-        return z2
-    if z2.is_zero():
-        return z1
-    while not z2.is_zero():
-        _, remainder = euclidean_divmod(z1, z2)
-        z1, z2 = z2, remainder
-    return z1
+    return ZOmega(*coefficients_gcd(z1.coefficients(), z2.coefficients()))
 
 
 def gcd_many(*elements: ZOmega) -> ZOmega:

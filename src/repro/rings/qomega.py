@@ -11,8 +11,7 @@ every element has the unique shape
 .. math::  \frac{\alpha}{e}, \qquad \alpha \in \mathbb{D}[\omega],\;
            e \in 2\mathbb{Z}+1,\; \gcd(\mathrm{content}(\alpha), e) = 1.
 
-Internally we store ``(zeta, k, e)`` for the value
-``zeta / (sqrt2**k * e)`` with
+An element is the value ``zeta / (sqrt2**k * e)`` with
 
 * ``zeta`` a :class:`~repro.rings.zomega.ZOmega` numerator with all
   ``sqrt2`` factors removed (Algorithm 1 canonical form),
@@ -22,6 +21,13 @@ Inverses follow the paper's recipe: for ``z`` with relative norm
 ``N(z) = z * conj(z) = u + v*sqrt2``,
 
 .. math::  z^{-1} = \overline{z}\,(u - v\sqrt2)\,/\,(u^2 - 2v^2).
+
+An instance stores its canonical key ``(a, b, c, d, k, e)`` directly
+and builds the :class:`ZOmega` numerator only on demand; arithmetic runs
+on the integers through the module-level kernels (:func:`qomega_mul`,
+:func:`qomega_add`, :func:`qomega_inverse`, ...).  The public
+constructor keeps the original :class:`ZOmega`-based reduction as the
+independent reference (the DD sanitizer recanonicalises with it).
 """
 
 from __future__ import annotations
@@ -29,13 +35,105 @@ from __future__ import annotations
 from math import gcd as int_gcd  # repro-lint: allow[RL002] (integer gcd is exact)
 from typing import Tuple
 
-from repro.errors import ZeroDivisionRingError
-from repro.rings.domega import DOmega
-from repro.rings.zomega import ZOmega
+from repro.errors import InexactDivisionError, ZeroDivisionRingError
+from repro.rings.domega import DOmega, domega_key
+from repro.rings.zomega import ZOmega, coefficients_inverse, coefficients_mul, coefficients_scale
 
-__all__ = ["QOmega"]
+__all__ = [
+    "ONE_KEY",
+    "QKey",
+    "QOmega",
+    "ZERO_KEY",
+    "qomega_add",
+    "qomega_conj",
+    "qomega_inverse",
+    "qomega_key",
+    "qomega_mul",
+]
 
 _SQRT2 = 1.4142135623730951  # repro-lint: allow[RL002] (to_complex conversion boundary)
+
+#: A canonical ``(a, b, c, d, k, e)`` key of ``Q[omega]``.
+QKey = Tuple[int, int, int, int, int, int]
+
+ZERO_KEY: QKey = (0, 0, 0, 0, 0, 1)
+ONE_KEY: QKey = (0, 0, 0, 1, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# Integer-level kernels: canonical keys in, canonical keys out
+# ---------------------------------------------------------------------------
+
+
+def qomega_key(a: int, b: int, c: int, d: int, k: int, e: int) -> QKey:
+    """The canonical key of ``(a w^3 + b w^2 + c w + d) / (sqrt2**k * e)``."""
+    if not e:
+        raise ZeroDivisionRingError("zero denominator in Q[omega]")
+    if not (a or b or c or d):
+        return ZERO_KEY
+    if e < 0:
+        a, b, c, d, e = -a, -b, -c, -d, -e
+    # Even denominator factors fold into the sqrt2 exponent (2 = sqrt2**2).
+    twos = (e & -e).bit_length() - 1
+    if twos:
+        e >>= twos
+        k += twos << 1
+    a, b, c, d, k = domega_key(a, b, c, d, k)  # Algorithm 1 on the numerator
+    # The odd denominator reduces against the numerator content.
+    if e > 1:
+        common = int_gcd(a, b, c, d, e)
+        if common > 1:
+            a, b, c, d, e = a // common, b // common, c // common, d // common, e // common
+    return (a, b, c, d, k, e)
+
+
+def qomega_mul(x: QKey, y: QKey) -> QKey:
+    """``x * y``."""
+    a, b, c, d = coefficients_mul((x[0], x[1], x[2], x[3]), (y[0], y[1], y[2], y[3]))
+    return qomega_key(a, b, c, d, x[4] + y[4], x[5] * y[5])
+
+
+def qomega_add(x: QKey, y: QKey) -> QKey:
+    """``x + y`` over the common denominator ``sqrt2**max(k) * lcm(e)``."""
+    a1, b1, c1, d1, k1, e1 = x
+    a2, b2, c2, d2, k2, e2 = y
+    if k1 < k2:
+        a1, b1, c1, d1 = coefficients_scale(a1, b1, c1, d1, k2 - k1)
+        k1 = k2
+    elif k2 < k1:
+        a2, b2, c2, d2 = coefficients_scale(a2, b2, c2, d2, k1 - k2)
+    if e1 != e2:
+        common = int_gcd(e1, e2)
+        m1, m2 = e2 // common, e1 // common
+        a1, b1, c1, d1 = a1 * m1, b1 * m1, c1 * m1, d1 * m1
+        a2, b2, c2, d2 = a2 * m2, b2 * m2, c2 * m2, d2 * m2
+        e1 *= m1
+    return qomega_key(a1 + a2, b1 + b2, c1 + c2, d1 + d2, k1, e1)
+
+
+def qomega_conj(x: QKey) -> QKey:
+    """Complex conjugation (canonical as it stands: parity and content
+    are unchanged)."""
+    a, b, c, d, k, e = x
+    return (-c, -b, -a, d, k, e)
+
+
+def qomega_inverse(x: QKey) -> QKey:
+    """``1 / x`` (paper, Section IV-B / Example 8): with
+    ``1/zeta = p / n`` (:func:`coefficients_inverse`),
+    ``1/x = e * sqrt2**k * p / n``."""
+    a, b, c, d, k, e = x
+    if not (a or b or c or d):
+        raise ZeroDivisionRingError("inverse of zero in Q[omega]")
+    pa, pb, pc, pd, norm = coefficients_inverse(a, b, c, d)
+    return qomega_key(pa * e, pb * e, pc * e, pd * e, -k, norm)
+
+
+# ---------------------------------------------------------------------------
+# The field element
+# ---------------------------------------------------------------------------
+
+_set = object.__setattr__
 
 
 class QOmega:
@@ -45,7 +143,9 @@ class QOmega:
     integer inputs (any sign/parity of ``e``).
     """
 
-    __slots__ = ("zeta", "k", "e", "_key", "_hash")
+    __slots__ = ("_key", "_zeta")
+    _key: QKey
+    _zeta: ZOmega
 
     def __init__(self, zeta: ZOmega, k: int = 0, e: int = 1) -> None:
         if not isinstance(zeta, ZOmega):
@@ -72,11 +172,8 @@ class QOmega:
             if common > 1:
                 zeta = ZOmega(*(coefficient // common for coefficient in zeta.coefficients()))
                 e //= common
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "_key", zeta.coefficients() + (k, e))
-        object.__setattr__(self, "_hash", None)
+        _set(self, "_key", zeta.coefficients() + (k, e))
+        _set(self, "_zeta", zeta)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QOmega instances are immutable")
@@ -88,6 +185,17 @@ class QOmega:
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
+
+    @classmethod
+    def from_canonical_key(cls, key: QKey) -> "QOmega":
+        """Wrap a key that is *already canonical* (a kernel result).
+
+        No validation: this is the cold-insert path of the weight
+        tables.  Arbitrary input belongs in the public constructor.
+        """
+        value = object.__new__(cls)
+        _set(value, "_key", key)
+        return value
 
     @classmethod
     def zero(cls) -> "QOmega":
@@ -126,8 +234,29 @@ class QOmega:
     # Protocol
     # ------------------------------------------------------------------
 
-    def key(self) -> Tuple[int, int, int, int, int, int]:
-        """Canonical hashable key ``(a, b, c, d, k, e)`` (precomputed)."""
+    @property
+    def zeta(self) -> ZOmega:
+        """The ``Z[omega]`` numerator (built on first access)."""
+        try:
+            return self._zeta
+        except AttributeError:
+            a, b, c, d, _k, _e = self._key
+            zeta = ZOmega(a, b, c, d)
+            _set(self, "_zeta", zeta)
+            return zeta
+
+    @property
+    def k(self) -> int:
+        """The sqrt2 denominator exponent."""
+        return self._key[4]
+
+    @property
+    def e(self) -> int:
+        """The odd positive denominator."""
+        return self._key[5]
+
+    def key(self) -> QKey:
+        """Canonical hashable key ``(a, b, c, d, k, e)``."""
         return self._key
 
     def __eq__(self, other: object) -> bool:
@@ -138,30 +267,26 @@ class QOmega:
         return self._key == other._key
 
     def __hash__(self) -> int:
-        cached = self._hash
-        if cached is None:
-            cached = hash(("QOmega",) + self._key)
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        return hash(("QOmega",) + self._key)
 
     def __bool__(self) -> bool:
-        return not self.zeta.is_zero()
+        a, b, c, d, _k, _e = self._key
+        return bool(a or b or c or d)
 
     def is_zero(self) -> bool:
-        return self.zeta.is_zero()
+        a, b, c, d, _k, _e = self._key
+        return not (a or b or c or d)
 
     def is_one(self) -> bool:
-        return self.k == 0 and self.e == 1 and self.zeta.is_one()
+        return self._key == ONE_KEY
 
     def is_domega(self) -> bool:
         """True iff the value lies in the subring ``D[omega]`` (``e == 1``)."""
-        return self.e == 1
+        return self._key[5] == 1
 
     def to_domega(self) -> DOmega:
         """Convert to ``D[omega]``; raises if ``e != 1``."""
         if self.e != 1:
-            from repro.errors import InexactDivisionError
-
             raise InexactDivisionError(f"{self!r} has odd denominator {self.e}, not in D[omega]")
         return DOmega(self.zeta, self.k)
 
@@ -174,16 +299,13 @@ class QOmega:
             other = QOmega.from_int(other)
         if not isinstance(other, QOmega):
             return NotImplemented
-        k = max(self.k, other.k)
-        lcm = self.e * other.e // int_gcd(self.e, other.e)
-        left = _scale(self.zeta, k - self.k) * (lcm // self.e)
-        right = _scale(other.zeta, k - other.k) * (lcm // other.e)
-        return QOmega(left + right, k, lcm)
+        return _from_key(qomega_add(self._key, other._key))
 
     __radd__ = __add__
 
     def __neg__(self) -> "QOmega":
-        return QOmega(-self.zeta, self.k, self.e)
+        a, b, c, d, k, e = self._key
+        return _from_key((-a, -b, -c, -d, k, e))
 
     def __sub__(self, other: "QOmega") -> "QOmega":
         if isinstance(other, int):
@@ -199,29 +321,24 @@ class QOmega:
 
     def __mul__(self, other: "QOmega") -> "QOmega":
         if isinstance(other, int):
-            return QOmega(self.zeta * other, self.k, self.e)
+            a, b, c, d, k, e = self._key
+            return _from_key(qomega_key(a * other, b * other, c * other, d * other, k, e))
         if not isinstance(other, QOmega):
             return NotImplemented
-        return QOmega(self.zeta * other.zeta, self.k + other.k, self.e * other.e)
+        return _from_key(qomega_mul(self._key, other._key))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QOmega":
         """The multiplicative inverse (paper, Section IV-B / Example 8)."""
-        if self.is_zero():
-            raise ZeroDivisionRingError("inverse of zero in Q[omega]")
-        u, v = self.zeta.norm_zsqrt2()
-        numerator = self.zeta.conj() * (ZOmega.from_int(u) - ZOmega.sqrt2() * v)
-        euclidean = u * u - 2 * v * v  # = E(zeta) up to sign, never zero
-        # 1/self = e * sqrt2**k * conj(zeta) * (u - v sqrt2) / euclidean
-        return QOmega(numerator * self.e, -self.k, euclidean)
+        return _from_key(qomega_inverse(self._key))
 
     def __truediv__(self, other: "QOmega") -> "QOmega":
         if isinstance(other, int):
             other = QOmega.from_int(other)
         if not isinstance(other, QOmega):
             return NotImplemented
-        return self * other.inverse()
+        return _from_key(qomega_mul(self._key, qomega_inverse(other._key)))
 
     def __pow__(self, exponent: int) -> "QOmega":
         if not isinstance(exponent, int):
@@ -239,7 +356,7 @@ class QOmega:
 
     def conj(self) -> "QOmega":
         """Complex conjugation."""
-        return QOmega(self.zeta.conj(), self.k, self.e)
+        return _from_key(qomega_conj(self._key))
 
     def abs_squared(self) -> "QOmega":
         """``|alpha|^2`` as a real ``Q[omega]`` element."""
@@ -256,7 +373,7 @@ class QOmega:
         overflow, so the numerator and the scale are combined through
         integer ratios before the final float step.
         """
-        a, b, c, d = self.zeta.coefficients()
+        a, b, c, d, _k, _e = self._key
         # value = [d + (c-a)/sqrt2] + i[b + (c+a)/sqrt2], all over sqrt2^k e
         magnitude = max(abs(a), abs(b), abs(c), abs(d), 1)
         if magnitude.bit_length() > 900 or abs(self.k) > 1800 or self.e.bit_length() > 900:
@@ -271,7 +388,7 @@ class QOmega:
         """Overflow-safe conversion using integer ratio reduction."""
         from fractions import Fraction
 
-        a, b, c, d = self.zeta.coefficients()
+        a, b, c, d, _k, _e = self._key
         half_k, odd_k = divmod(self.k, 2)
         # denominator = 2**half_k * sqrt2**odd_k * e
         base = Fraction(1, 1)
@@ -293,14 +410,15 @@ class QOmega:
         observation that the *denominators* dominate the growth under
         the Q[omega] normalisation scheme (Section V-B).
         """
-        return max(self.zeta.max_bit_width(), self.e.bit_length())
+        a, b, c, d, _k, e = self._key
+        return max(abs(a), abs(b), abs(c), abs(d), e).bit_length()
 
     def denominator_bit_width(self) -> int:
         return self.e.bit_length()
 
     def __repr__(self) -> str:
-        a, b, c, d = self.zeta.coefficients()
-        return f"QOmega(ZOmega({a}, {b}, {c}, {d}), k={self.k}, e={self.e})"
+        a, b, c, d, k, e = self._key
+        return f"QOmega(ZOmega({a}, {b}, {c}, {d}), k={k}, e={e})"
 
     def __str__(self) -> str:
         text = str(self.zeta)
@@ -314,14 +432,7 @@ class QOmega:
         return text
 
 
-def _scale(zeta: ZOmega, power: int) -> ZOmega:
-    """Multiply by ``sqrt2**power`` (``power >= 0``)."""
-    if power >= 2:
-        zeta = zeta * (1 << (power // 2))
-    if power % 2:
-        zeta = zeta.mul_sqrt2()
-    return zeta
-
+_from_key = QOmega.from_canonical_key
 
 _ZERO = QOmega(ZOmega.zero())
 _ONE = QOmega(ZOmega.one())

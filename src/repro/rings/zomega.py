@@ -45,7 +45,20 @@ from typing import Iterator, Tuple
 
 from repro.errors import InexactDivisionError, ZeroDivisionRingError
 
-__all__ = ["ZOmega"]
+__all__ = [
+    "Coefficients",
+    "ZOmega",
+    "coefficients_euclidean_norm",
+    "coefficients_inverse",
+    "coefficients_mul",
+    "coefficients_scale",
+]
+
+#: A bare ``(a, b, c, d)`` coefficient quadruple: the integer-level form
+#: the hot ring kernels (:mod:`repro.rings.domega`,
+#: :mod:`repro.rings.qomega`, :mod:`repro.rings.euclid`) compute on,
+#: without building a :class:`ZOmega` per intermediate.
+Coefficients = Tuple[int, int, int, int]
 
 
 class ZOmega:
@@ -385,3 +398,57 @@ class ZOmega:
 _ZERO = ZOmega(0, 0, 0, 0)
 _ONE = ZOmega(0, 0, 0, 1)
 _OMEGA = ZOmega(0, 0, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# Integer-level kernels on bare coefficient quadruples
+# ---------------------------------------------------------------------------
+
+
+def coefficients_mul(x: Coefficients, y: Coefficients) -> Coefficients:
+    """The product of two quadruples (same convolution as ``ZOmega.__mul__``)."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (
+        a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
+        b1 * d2 + c1 * c2 + d1 * b2 - a1 * a2,
+        c1 * d2 + d1 * c2 - a1 * b2 - b1 * a2,
+        d1 * d2 - a1 * c2 - b1 * b2 - c1 * a2,
+    )
+
+
+def coefficients_scale(a: int, b: int, c: int, d: int, power: int) -> Coefficients:
+    """``z * sqrt2**power`` for ``power >= 0``."""
+    half = power >> 1
+    if half:
+        a, b, c, d = a << half, b << half, c << half, d << half
+    if power & 1:
+        # z * sqrt2 maps (a, b, c, d) -> (b - d, c + a, b + d, c - a).
+        a, b, c, d = b - d, c + a, b + d, c - a
+    return (a, b, c, d)
+
+
+def coefficients_euclidean_norm(a: int, b: int, c: int, d: int) -> int:
+    """``E(z) = |u^2 - 2 v^2|`` of ``z = a w^3 + b w^2 + c w + d``."""
+    u = a * a + b * b + c * c + d * d
+    v = a * b + b * c + c * d - a * d
+    return abs(u * u - 2 * v * v)
+
+
+def coefficients_inverse(a: int, b: int, c: int, d: int) -> Tuple[int, int, int, int, int]:
+    """``(p_a, p_b, p_c, p_d, n)`` with ``1/z = p / n`` for a non-zero ``z``.
+
+    ``p = conj(z) * (u - v*sqrt2)`` and ``n = u^2 - 2 v^2`` (signed, never
+    zero) for the relative norm ``z * conj(z) = u + v*sqrt2``: the
+    numerator of every exact division and inverse in the ring layer.
+    """
+    u = a * a + b * b + c * c + d * d
+    v = a * b + b * c + c * d - a * d
+    # conj(z) = (-c, -b, -a, d) times (u - v*sqrt2) = (v, 0, -v, u).
+    return (
+        (b + d) * v - c * u,
+        (a + c) * v - b * u,
+        (b - d) * v - a * u,
+        (a - c) * v + d * u,
+        u * u - 2 * v * v,
+    )

@@ -93,6 +93,26 @@ class TestRegistryIntegration:
         snapshot = manager.telemetry.metrics.snapshot()
         assert snapshot["dd.ct.apply.misses"] > 0
 
+    def test_unused_compute_tables_export_no_keys(self):
+        # The apply kernel never touches the matrix-DD compute tables, so
+        # a default run must not export their (all-zero) counters; the
+        # matrix-DD gate path uses them and exports live counts.
+        from repro.api import RunRequest, run
+
+        circuit = grover_circuit(5, 3)
+        kernel = run(RunRequest(circuit, SimulatorConfig(system="algebraic-gcd"))).metrics
+        unused = [
+            name
+            for name in kernel
+            if name.startswith(("dd.ct.mat_vec.", "dd.ct.mat_mat.", "dd.ct.kron."))
+        ]
+        assert unused == []
+        assert kernel["dd.ct.apply.misses"] > 0
+        matrix = run(
+            RunRequest(circuit, SimulatorConfig(system="algebraic-gcd", use_apply_kernel=False))
+        ).metrics
+        assert matrix["dd.ct.mat_vec.hits"] > 0
+
     def test_legacy_statistics_match_snapshot(self):
         manager = _run_grover(SYSTEMS["algebraic-q"])
         stats = manager.statistics()
