@@ -35,13 +35,24 @@ typecheck:
 # Fast end-to-end sanitizer run: simulate under check-every-op and fail
 # on any invariant violation.  Both exact normalisations (Algorithm 2 on
 # Q[omega], Algorithm 3 on D[omega]) and the numeric system are covered.
+# An exact-system run must also replay memo entries: its kernel path
+# memoises only weight arithmetic, so "0 memo entries" means the replay
+# checked nothing and fails the target.
+SANITIZE_EXACT_RUNS = \
+	"--algorithm grover --qubits 5 --system algebraic" \
+	"--algorithm grover --qubits 5 --system algebraic-gcd" \
+	"--algorithm bwt --system algebraic-gcd"
+
 sanitize-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --algorithm grover \
-	    --qubits 5 --system algebraic --mode check-every-op
-	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --algorithm grover \
-	    --qubits 5 --system algebraic-gcd --mode check-every-op
-	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --algorithm bwt \
-	    --system algebraic-gcd --mode check-every-op
+	@for args in $(SANITIZE_EXACT_RUNS); do \
+	    echo "repro.cli sanitize $$args --mode check-every-op"; \
+	    out=$$(PYTHONPATH=src $(PYTHON) -m repro.cli sanitize $$args \
+	        --mode check-every-op) || { echo "$$out"; exit 1; }; \
+	    echo "$$out"; \
+	    if echo "$$out" | grep -q ' 0 memo entries'; then \
+	        echo "sanitize-smoke: no memo entry replayed ($$args)" >&2; exit 1; \
+	    fi; \
+	done
 	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --algorithm grover \
 	    --qubits 5 --system numeric --eps 1e-12 --mode check-every-op
 

@@ -30,6 +30,7 @@ hand::
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,6 +75,90 @@ class _TracedComputeTable(ComputeTable):
             return super().get(key)
 
 
+class _TracedUniqueTable(UniqueTable):
+    """A :class:`UniqueTable` whose lookups emit detail spans (detail
+    tracing mode only, like :class:`_TracedComputeTable`)."""
+
+    def __init__(self, label: str, tracer: Tracer, uid_source: Callable[[], int]) -> None:
+        super().__init__(uid_source)
+        self._label = label
+        self._tracer = tracer
+
+    def get_or_create(
+        self, level: int, edges: Tuple[Edge, ...], weight_keys: Tuple[Any, ...]
+    ) -> Node:
+        with self._tracer.span("dd.ut.lookup", table=self._label, level=level):
+            return super().get_or_create(level, edges, weight_keys)
+
+
+def _traced_normalize(
+    tracer: Tracer, system: NumberSystem
+) -> Callable[[Tuple[Any, ...]], Tuple[Any, Tuple[Any, ...], Tuple[Any, ...]]]:
+    """``system.normalize_keyed`` wrapped in a detail span.
+
+    The wrapper is installed on the system instance itself, so the
+    system's own internal calls are traced too.  It reaches the system
+    through a weak reference: a strong one (or the bound method) would
+    make the system's ``__dict__`` a reference cycle.
+    """
+    normalize = type(system).normalize_keyed
+    system_ref = weakref.ref(system)
+
+    def traced_normalize(
+        weights: Tuple[Any, ...],
+    ) -> Tuple[Any, Tuple[Any, ...], Tuple[Any, ...]]:
+        with tracer.span("dd.normalize", arity=len(weights)):
+            return normalize(system_ref(), weights)
+
+    return traced_normalize
+
+
+def _table_collector(
+    vector_table: UniqueTable,
+    matrix_table: UniqueTable,
+    compute_tables: Tuple[ComputeTable, ...],
+    system: NumberSystem,
+) -> Callable[[], Dict[str, float]]:
+    """Pull-side collector: flat dotted view of every engine table.
+
+    Sampled only at :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
+    time, so the tables keep their plain integer counters with zero
+    per-operation overhead.
+    """
+
+    def collect() -> Dict[str, float]:
+        metrics: Dict[str, float] = {
+            "dd.nodes.vector": len(vector_table),
+            "dd.nodes.matrix": len(matrix_table),
+        }
+        for prefix, unique_table in (
+            ("dd.ut.vector", vector_table),
+            ("dd.ut.matrix", matrix_table),
+        ):
+            for key, value in unique_table.statistics().items():
+                metrics[f"{prefix}.{key}"] = value
+        for table in compute_tables:
+            stats = table.statistics()
+            hits, misses = stats["hits"], stats["misses"]
+            if not (hits or misses or stats["inserts"]):
+                # Never probed on this manager (the matrix-DD tables under
+                # the apply kernel): every key would read 0, so none is
+                # exported until the table is used.
+                continue
+            for key, stat in stats.items():
+                metrics[f"dd.ct.{table.name}.{key}"] = stat
+            metrics[f"dd.ct.{table.name}.hit_rate"] = (
+                hits / (hits + misses) if hits + misses else 0.0
+            )
+        for name, counters in system.weight_statistics().items():
+            for key, value in counters.items():
+                metrics[f"weights.{name}.{key}"] = value
+        metrics.update(system.metric_values())
+        return metrics
+
+    return collect
+
+
 class DDManager:
     """Decision-diagram manager for ``num_qubits`` qubits.
 
@@ -112,16 +197,23 @@ class DDManager:
         self.num_qubits = num_qubits
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         tracer = self.telemetry.tracer
-        self._trace_detail = tracer.detail
         from itertools import count
 
         uid_source = count(1).__next__  # shared: uids unique across arities
-        self._vector_table = UniqueTable(uid_source)
-        self._matrix_table = UniqueTable(uid_source)
-        if self._trace_detail:
+        if tracer.detail:
+            # Detail spans around every table lookup and normalisation;
+            # the default construction path has no tracing branch at all.
+            self._vector_table: UniqueTable = _TracedUniqueTable("vector", tracer, uid_source)
+            self._matrix_table: UniqueTable = _TracedUniqueTable("matrix", tracer, uid_source)
+            system.normalize_keyed = _traced_normalize(  # type: ignore[method-assign]
+                tracer, system
+            )
+
             def _ct(name: str) -> ComputeTable:
                 return _TracedComputeTable(name, tracer)
         else:
+            self._vector_table = UniqueTable(uid_source)
+            self._matrix_table = UniqueTable(uid_source)
             _ct = ComputeTable
         self._add_cache = _ct("add")
         self._mat_vec_cache = _ct("mat_vec")
@@ -138,9 +230,15 @@ class DDManager:
         registry = self.telemetry.metrics
         self._apply_direct = registry.counter("dd.apply.direct")
         self._apply_delegated = registry.counter("dd.apply.delegated")
-        registry.register_collector(self._collect_metrics)
-        if self._trace_detail:
-            self._install_detail_spans()
+        # The collector closes over the tables, never over ``self``: the
+        # registry must not keep the manager alive, and a snapshot taken
+        # after the manager is gone (the batch failure path) still reads
+        # the final table counts.
+        registry.register_collector(
+            _table_collector(
+                self._vector_table, self._matrix_table, self._compute_tables(), system
+            )
+        )
         # Edges are immutable in practice; sharing one zero edge avoids
         # an allocation on every zero child in the hot path.
         self._zero_edge = Edge(TERMINAL, self.system.zero)
@@ -157,77 +255,6 @@ class DDManager:
     def apply_delegated_ops(self) -> int:
         """Gate applications delegated to the matrix path (registry-backed)."""
         return int(self._apply_delegated.value)
-
-    def _install_detail_spans(self) -> None:
-        """Wrap normalisation and unique-table lookups in detail spans.
-
-        Instance-level method shadowing keeps the default construction
-        path completely untouched: without detail mode there is not even
-        a branch on these call sites.
-        """
-        tracer = self.telemetry.tracer
-        normalize = self.system.normalize_keyed
-
-        def traced_normalize(
-            weights: Tuple[Any, ...],
-        ) -> Tuple[Any, Tuple[Any, ...], Tuple[Any, ...]]:
-            with tracer.span("dd.normalize", arity=len(weights)):
-                return normalize(weights)
-
-        self.system.normalize_keyed = traced_normalize  # type: ignore[method-assign]
-        for label, table in (
-            ("vector", self._vector_table),
-            ("matrix", self._matrix_table),
-        ):
-            lookup = table.get_or_create
-
-            def traced_lookup(
-                level: int,
-                edges: Tuple[Edge, ...],
-                weight_keys: Tuple[Any, ...],
-                _lookup: Callable[..., Node] = lookup,
-                _label: str = label,
-            ) -> Node:
-                with tracer.span("dd.ut.lookup", table=_label, level=level):
-                    return _lookup(level, edges, weight_keys)
-
-            table.get_or_create = traced_lookup  # type: ignore[method-assign]
-
-    def _collect_metrics(self) -> Dict[str, float]:
-        """Pull-side collector: flat dotted view of every engine table.
-
-        Sampled only at :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
-        time, so the tables keep their plain integer counters with zero
-        per-operation overhead.
-        """
-        metrics: Dict[str, float] = {
-            "dd.nodes.vector": len(self._vector_table),
-            "dd.nodes.matrix": len(self._matrix_table),
-        }
-        for prefix, unique_table in (
-            ("dd.ut.vector", self._vector_table),
-            ("dd.ut.matrix", self._matrix_table),
-        ):
-            for key, value in unique_table.statistics().items():
-                metrics[f"{prefix}.{key}"] = value
-        for table in self._compute_tables():
-            stats = table.statistics()
-            hits, misses = stats["hits"], stats["misses"]
-            if not (hits or misses or stats["inserts"]):
-                # Never probed on this manager (the matrix-DD tables under
-                # the apply kernel): every key would read 0, so none is
-                # exported until the table is used.
-                continue
-            for key, stat in stats.items():
-                metrics[f"dd.ct.{table.name}.{key}"] = stat
-            metrics[f"dd.ct.{table.name}.hit_rate"] = (
-                hits / (hits + misses) if hits + misses else 0.0
-            )
-        for name, counters in self.system.weight_statistics().items():
-            for key, value in counters.items():
-                metrics[f"weights.{name}.{key}"] = value
-        metrics.update(self.system.metric_values())
-        return metrics
 
     # ------------------------------------------------------------------
     # Elementary edges
@@ -626,43 +653,48 @@ class DDManager:
 
     def to_statevector(self, state: Edge) -> np.ndarray:
         """Dense complex statevector (exponential; for tests/metrics)."""
-        memo: Dict[int, np.ndarray] = {}
-
-        def recurse(edge: Edge, level: int) -> np.ndarray:
-            if self.is_zero_edge(edge):
-                return np.zeros(1 << level, dtype=complex)
-            if edge.is_terminal:
-                return np.array([self.system.to_complex(edge.weight)], dtype=complex)
-            sub = memo.get(edge.node.uid)
-            if sub is None:
-                halves = [recurse(child, level - 1) for child in edge.node.edges]
-                sub = np.concatenate(halves)
-                memo[edge.node.uid] = sub
-            return self.system.to_complex(edge.weight) * sub
-
         if state.is_terminal and not self.system.is_zero(state.weight):
             # scalar DD: broadcast over a single amplitude space
             return np.full(1, self.system.to_complex(state.weight), dtype=complex)
-        return recurse(state, self.num_qubits)
+        return self._dense_vector(state, self.num_qubits, {})
+
+    # The recursive walks below are private methods taking their memo
+    # as an argument, not nested closures: a closure that calls itself
+    # holds itself through its own cell, and that cycle (which also
+    # captures the manager) could only be freed by the cyclic collector.
+
+    def _dense_vector(
+        self, edge: Edge, level: int, memo: Dict[int, np.ndarray]
+    ) -> np.ndarray:
+        if self.is_zero_edge(edge):
+            return np.zeros(1 << level, dtype=complex)
+        if edge.is_terminal:
+            return np.array([self.system.to_complex(edge.weight)], dtype=complex)
+        sub = memo.get(edge.node.uid)
+        if sub is None:
+            halves = [self._dense_vector(child, level - 1, memo) for child in edge.node.edges]
+            sub = np.concatenate(halves)
+            memo[edge.node.uid] = sub
+        return self.system.to_complex(edge.weight) * sub
 
     def to_matrix(self, matrix: Edge) -> np.ndarray:
         """Dense complex matrix (exponential; for tests/metrics)."""
-        memo: Dict[int, np.ndarray] = {}
+        return self._dense_matrix(matrix, self.num_qubits, {})
 
-        def recurse(edge: Edge, level: int) -> np.ndarray:
-            size = 1 << level
-            if self.is_zero_edge(edge):
-                return np.zeros((size, size), dtype=complex)
-            if edge.is_terminal:
-                return np.array([[self.system.to_complex(edge.weight)]], dtype=complex)
-            sub = memo.get(edge.node.uid)
-            if sub is None:
-                blocks = [recurse(child, level - 1) for child in edge.node.edges]
-                sub = np.block([[blocks[0], blocks[1]], [blocks[2], blocks[3]]])
-                memo[edge.node.uid] = sub
-            return self.system.to_complex(edge.weight) * sub
-
-        return recurse(matrix, self.num_qubits)
+    def _dense_matrix(
+        self, edge: Edge, level: int, memo: Dict[int, np.ndarray]
+    ) -> np.ndarray:
+        size = 1 << level
+        if self.is_zero_edge(edge):
+            return np.zeros((size, size), dtype=complex)
+        if edge.is_terminal:
+            return np.array([[self.system.to_complex(edge.weight)]], dtype=complex)
+        sub = memo.get(edge.node.uid)
+        if sub is None:
+            blocks = [self._dense_matrix(child, level - 1, memo) for child in edge.node.edges]
+            sub = np.block([[blocks[0], blocks[1]], [blocks[2], blocks[3]]])
+            memo[edge.node.uid] = sub
+        return self.system.to_complex(edge.weight) * sub
 
     def to_exact_amplitudes(self, state: Edge) -> List[Any]:
         """All ``2^n`` amplitudes as *weights* of the number system.
@@ -672,45 +704,54 @@ class DDManager:
         (mind the exponential size).
         """
         results: List[Any] = []
-
-        def recurse(edge: Edge, level: int, prefix_weight: Any) -> None:
-            if self.is_zero_edge(edge):
-                results.extend([self.system.zero] * (1 << level))
-                return
-            weight = self.system.mul(prefix_weight, edge.weight)
-            if edge.is_terminal:
-                results.append(weight)
-                return
-            for child in edge.node.edges:
-                recurse(child, level - 1, weight)
-
-        recurse(state, self.num_qubits, self.system.one)
+        self._exact_amplitudes(state, self.num_qubits, self.system.one, results)
         return results
+
+    def _exact_amplitudes(
+        self, edge: Edge, level: int, prefix_weight: Any, results: List[Any]
+    ) -> None:
+        if self.is_zero_edge(edge):
+            results.extend([self.system.zero] * (1 << level))
+            return
+        weight = self.system.mul(prefix_weight, edge.weight)
+        if edge.is_terminal:
+            results.append(weight)
+            return
+        for child in edge.node.edges:
+            self._exact_amplitudes(child, level - 1, weight, results)
 
     def to_exact_matrix(self, matrix: Edge) -> List[List[Any]]:
         """All ``2^n x 2^n`` entries as weights (exact; exponential)."""
         size = 1 << self.num_qubits
         grid: List[List[Any]] = [[self.system.zero] * size for _ in range(size)]
-
-        def recurse(edge: Edge, level: int, row: int, col: int, prefix: Any) -> None:
-            if self.is_zero_edge(edge):
-                return
-            weight = self.system.mul(prefix, edge.weight)
-            if edge.is_terminal:
-                grid[row][col] = weight
-                return
-            half = 1 << (level - 1)
-            for position, child in enumerate(edge.node.edges):
-                recurse(
-                    child,
-                    level - 1,
-                    row + (position >> 1) * half,
-                    col + (position & 1) * half,
-                    weight,
-                )
-
-        recurse(matrix, self.num_qubits, 0, 0, self.system.one)
+        self._exact_entries(matrix, self.num_qubits, 0, 0, self.system.one, grid)
         return grid
+
+    def _exact_entries(
+        self,
+        edge: Edge,
+        level: int,
+        row: int,
+        col: int,
+        prefix: Any,
+        grid: List[List[Any]],
+    ) -> None:
+        if self.is_zero_edge(edge):
+            return
+        weight = self.system.mul(prefix, edge.weight)
+        if edge.is_terminal:
+            grid[row][col] = weight
+            return
+        half = 1 << (level - 1)
+        for position, child in enumerate(edge.node.edges):
+            self._exact_entries(
+                child,
+                level - 1,
+                row + (position >> 1) * half,
+                col + (position & 1) * half,
+                weight,
+                grid,
+            )
 
     def node_count(self, edge: Edge) -> int:
         """Number of distinct non-terminal nodes (the paper's size metric).
@@ -756,23 +797,21 @@ class DDManager:
 
     def norm_squared(self, state: Edge) -> Any:
         """``<psi|psi>`` as a weight of the active number system."""
-        memo: Dict[int, Any] = {}
+        return self._norm_squared(state, {})
 
-        def recurse(edge: Edge) -> Any:
-            if self.is_zero_edge(edge):
-                return self.system.zero
-            own = _abs_squared(self.system, edge.weight)
-            if edge.is_terminal:
-                return own
-            total = memo.get(edge.node.uid)
-            if total is None:
-                total = self.system.zero
-                for child in edge.node.edges:
-                    total = self.system.add(total, recurse(child))
-                memo[edge.node.uid] = total
-            return self.system.mul(own, total)
-
-        return recurse(state)
+    def _norm_squared(self, edge: Edge, memo: Dict[int, Any]) -> Any:
+        if self.is_zero_edge(edge):
+            return self.system.zero
+        own = _abs_squared(self.system, edge.weight)
+        if edge.is_terminal:
+            return own
+        total = memo.get(edge.node.uid)
+        if total is None:
+            total = self.system.zero
+            for child in edge.node.edges:
+                total = self.system.add(total, self._norm_squared(child, memo))
+            memo[edge.node.uid] = total
+        return self.system.mul(own, total)
 
     def adjoint(self, matrix: Edge) -> Edge:
         """The conjugate transpose ``U^dagger`` of a matrix DD.
@@ -782,30 +821,28 @@ class DDManager:
         miter-style equivalence check ``U_a U_b^dagger == I``
         (paper Section V-B's verification use case).
         """
-        cache: Dict[int, Edge] = {}
-
-        def recurse(node: Node) -> Edge:
-            if node.is_terminal:
-                return self.one_edge()
-            cached = cache.get(node.uid)
-            if cached is not None:
-                return cached
-            children = []
-            for position in (0, 2, 1, 3):  # transpose the 2x2 block order
-                child = node.edges[position]
-                if self.is_zero_edge(child):
-                    children.append(self.zero_edge())
-                else:
-                    sub = recurse(child.node)
-                    children.append(self.scale(sub, self.system.conj(child.weight)))
-            result = self.make_node(node.level, children)
-            cache[node.uid] = result
-            return result
-
         if self.is_zero_edge(matrix):
             return self.zero_edge()
-        body = recurse(matrix.node)
+        body = self._adjoint_node(matrix.node, {})
         return self.scale(body, self.system.conj(matrix.weight))
+
+    def _adjoint_node(self, node: Node, cache: Dict[int, Edge]) -> Edge:
+        if node.is_terminal:
+            return self.one_edge()
+        cached = cache.get(node.uid)
+        if cached is not None:
+            return cached
+        children = []
+        for position in (0, 2, 1, 3):  # transpose the 2x2 block order
+            child = node.edges[position]
+            if self.is_zero_edge(child):
+                children.append(self.zero_edge())
+            else:
+                sub = self._adjoint_node(child.node, cache)
+                children.append(self.scale(sub, self.system.conj(child.weight)))
+        result = self.make_node(node.level, children)
+        cache[node.uid] = result
+        return result
 
     def inner_product(self, left: Edge, right: Edge) -> Any:
         """``<left|right>`` as a weight of the active number system.
@@ -813,28 +850,30 @@ class DDManager:
         Exact for the algebraic systems; the numeric system returns an
         interned complex value.
         """
-        cache: Dict[Tuple[int, int], Any] = {}
+        return self._inner_product(left, right, {})
 
-        def recurse(a: Edge, b: Edge) -> Any:
-            if self.is_zero_edge(a) or self.is_zero_edge(b):
-                return self.system.zero
-            factor = self.system.mul(self.system.conj(a.weight), b.weight)
-            if a.is_terminal and b.is_terminal:
-                return factor
-            if a.node.level != b.node.level:
-                raise LevelMismatchError(
-                    f"inner product across levels {a.node.level} != {b.node.level}"
+    def _inner_product(
+        self, a: Edge, b: Edge, cache: Dict[Tuple[int, int], Any]
+    ) -> Any:
+        if self.is_zero_edge(a) or self.is_zero_edge(b):
+            return self.system.zero
+        factor = self.system.mul(self.system.conj(a.weight), b.weight)
+        if a.is_terminal and b.is_terminal:
+            return factor
+        if a.node.level != b.node.level:
+            raise LevelMismatchError(
+                f"inner product across levels {a.node.level} != {b.node.level}"
+            )
+        key = (a.node.uid, b.node.uid)
+        partial = cache.get(key)
+        if partial is None:
+            partial = self.system.zero
+            for a_child, b_child in zip(a.node.edges, b.node.edges):
+                partial = self.system.add(
+                    partial, self._inner_product(a_child, b_child, cache)
                 )
-            key = (a.node.uid, b.node.uid)
-            partial = cache.get(key)
-            if partial is None:
-                partial = self.system.zero
-                for a_child, b_child in zip(a.node.edges, b.node.edges):
-                    partial = self.system.add(partial, recurse(a_child, b_child))
-                cache[key] = partial
-            return self.system.mul(factor, partial)
-
-        return recurse(left, right)
+            cache[key] = partial
+        return self.system.mul(factor, partial)
 
     def fidelity(self, left: Edge, right: Edge) -> float:
         """``|<left|right>|^2`` as a float (for reporting)."""

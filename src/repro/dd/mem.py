@@ -49,7 +49,9 @@ audits the stored refcounts against a full reachability recount via
 from __future__ import annotations
 
 import time
+import weakref
 from contextlib import contextmanager
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -68,7 +70,9 @@ from repro.errors import DDError, MemoryBudgetExceeded
 
 if TYPE_CHECKING:
     from repro.dd.manager import DDManager
+    from repro.dd.number_system import NumberSystem
     from repro.dd.sanitizer import SanitizerViolation
+    from repro.dd.unique_table import ComputeTable
 
 __all__ = [
     "GC_SECONDS_BUCKETS",
@@ -254,6 +258,17 @@ class GcStats:
         )
 
 
+def _invalidate_derived_state(
+    compute_tables: Tuple["ComputeTable", ...], system: "NumberSystem"
+) -> int:
+    """Clear the operation compute tables and the weight-arithmetic
+    memos; returns the number of entries dropped."""
+    dropped = 0
+    for table in compute_tables:
+        dropped += table.invalidate()
+    return dropped + system.invalidate_memos()
+
+
 class _RootEntry:
     """One registered external root: the edge plus its registration count."""
 
@@ -268,11 +283,15 @@ class MemoryManager:
     """Root registry, mark-and-sweep collector and trigger policy.
 
     One instance per :class:`~repro.dd.manager.DDManager` (created by
-    the manager itself; reach it as ``manager.memory``).  The manager
-    also installs this object's consolidated invalidation as the
-    unique tables' pruning hook, so legacy ``retain``/``clear`` calls
-    can no longer leave compute tables or weight memos referencing
-    swept nodes.
+    the manager itself; reach it as ``manager.memory``).  It also
+    installs the consolidated invalidation as the unique tables'
+    pruning hook, so legacy ``retain``/``clear`` calls can no longer
+    leave compute tables or weight memos referencing swept nodes.
+
+    Nothing here refers back to the manager strongly (see "Ownership
+    and reclamation" in ``docs/ALGORITHMS.md``): :attr:`manager` is a
+    weak reference, and the tables, the system and the tracer are held
+    directly, so a dropped manager is freed by reference counting.
     """
 
     def __init__(
@@ -280,7 +299,15 @@ class MemoryManager:
         manager: "DDManager",
         config: Union[MemoryConfig, MemoryBudget, bool, int, None] = None,
     ) -> None:
-        self.manager = manager
+        # The manager owns this object, so the back-reference is weak;
+        # everything the collector touches is held directly instead.
+        self._manager_ref = weakref.ref(manager)
+        self._vector_table = manager._vector_table
+        self._matrix_table = manager._matrix_table
+        self._compute_tables = manager._compute_tables()
+        self._system = manager.system
+        self._gate_signatures = manager._gate_signatures
+        self._tracer = manager.telemetry.tracer
         self.config = MemoryConfig.coerce(config)
         self._roots: Dict[int, _RootEntry] = {}
         self._pins: Dict[int, Edge] = {}
@@ -300,8 +327,19 @@ class MemoryManager:
         self._seconds_histogram = registry.histogram("dd.gc.seconds", GC_SECONDS_BUCKETS)
         self._threshold_gauge.set(self._threshold)
         registry.register_collector(self._collect_metrics)
-        manager._vector_table.set_invalidation_hook(self.invalidate_derived_state)
-        manager._matrix_table.set_invalidation_hook(self.invalidate_derived_state)
+        # The hook holds the compute tables and the system, not this
+        # object: the unique tables must not point back at their owner.
+        hook = partial(_invalidate_derived_state, self._compute_tables, self._system)
+        self._vector_table.set_invalidation_hook(hook)
+        self._matrix_table.set_invalidation_hook(hook)
+
+    @property
+    def manager(self) -> "DDManager":
+        """The owning :class:`~repro.dd.manager.DDManager` (weakly held)."""
+        manager = self._manager_ref()
+        if manager is None:
+            raise DDError("the DDManager owning this MemoryManager has been freed")
+        return manager
 
     # -- configuration ---------------------------------------------------
 
@@ -391,16 +429,14 @@ class MemoryManager:
     @property
     def node_count(self) -> int:
         """Resident nodes across both unique tables."""
-        manager = self.manager
-        return len(manager._vector_table) + len(manager._matrix_table)
+        return len(self._vector_table) + len(self._matrix_table)
 
     def approx_bytes(self) -> int:
         """Approximate resident byte footprint (nodes, edges, weights)."""
-        manager = self.manager
-        vector_nodes = len(manager._vector_table)
-        matrix_nodes = len(manager._matrix_table)
+        vector_nodes = len(self._vector_table)
+        matrix_nodes = len(self._matrix_table)
         weights = 0
-        for counters in manager.system.weight_statistics().values():
+        for counters in self._system.weight_statistics().values():
             weights = int(counters.get("entries", counters.get("size", 0)))
             break  # first table is the interning table; memos are separate
         return (
@@ -416,16 +452,11 @@ class MemoryManager:
 
         Clears (and generation-stamps) the manager's five operation
         compute tables and the number system's weight-arithmetic memos.
-        Installed as the unique tables' pruning hook and called by the
-        collector after sweeping.  Returns the number of entries
-        dropped.
+        Called by the collector after sweeping; the unique tables'
+        pruning hook runs the same invalidation.  Returns the number of
+        entries dropped.
         """
-        manager = self.manager
-        dropped = 0
-        for table in manager._compute_tables():
-            dropped += table.invalidate()
-        dropped += manager.system.invalidate_memos()
-        return dropped
+        return _invalidate_derived_state(self._compute_tables, self._system)
 
     def collect(
         self, extra_roots: Iterable[Edge] = (), trigger: str = "explicit"
@@ -439,17 +470,16 @@ class MemoryManager:
         tables against the live weight-key set collected during
         marking.
         """
-        manager = self.manager
         started = time.perf_counter()
-        with manager.telemetry.tracer.span("dd.gc", trigger=trigger):
+        with self._tracer.span("dd.gc", trigger=trigger):
             before = self.node_count
             marked, live_weight_keys = self._mark(extra_roots)
-            swept_vector = manager._vector_table.sweep(marked)
-            swept_matrix = manager._matrix_table.sweep(marked)
+            swept_vector = self._vector_table.sweep(marked)
+            swept_matrix = self._matrix_table.sweep(marked)
             invalidated = self.invalidate_derived_state()
             swept_weights = 0
             if self.config.sweep_weights:
-                swept_weights = manager.system.sweep_weights(live_weight_keys)
+                swept_weights = self._system.sweep_weights(live_weight_keys)
         seconds = time.perf_counter() - started
         after = self.node_count
         self.collections += 1
@@ -477,7 +507,7 @@ class MemoryManager:
         self, extra_roots: Iterable[Edge]
     ) -> Tuple[Set[int], Set[Any]]:
         """Reachable node uids and live weight keys from all roots."""
-        system = self.manager.system
+        system = self._system
         key = system.key
         marked: Set[int] = set()
         live_keys: Set[Any] = set()
@@ -510,7 +540,7 @@ class MemoryManager:
         # apply-cache namespace.
         live_keys.add(key(system.zero))
         live_keys.add(key(system.one))
-        for signature_key in self.manager._gate_signatures:
+        for signature_key in self._gate_signatures:
             live_keys.update(signature_key[0])
         return marked, live_keys
 
@@ -590,10 +620,9 @@ class MemoryManager:
         """
         from repro.dd.sanitizer import SanitizerViolation
 
-        manager = self.manager
         expected: Dict[int, int] = {}
         resident: Dict[int, Node] = {}
-        for table in (manager._vector_table, manager._matrix_table):
+        for table in (self._vector_table, self._matrix_table):
             for node in table.nodes():
                 resident[node.uid] = node
                 for child in node.edges:

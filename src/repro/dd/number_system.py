@@ -33,9 +33,10 @@ Three families are provided:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import islice
 from math import gcd as _int_gcd
 from operator import methodcaller
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dd.unique_table import ComputeTable
 from repro.errors import DDError, InexactDivisionError
@@ -335,6 +336,15 @@ class NumberSystem(ABC):
         """
         raise DDError(f"system {self.name!r} cannot resolve weight keys")
 
+    def replay_memos(self, samples: int) -> Iterator[Tuple[str, Any, Optional[str]]]:
+        """Recompute up to ``samples`` entries of each binary weight memo.
+
+        Yields ``(memo name, memo key, problem)`` per replayed entry,
+        where ``problem`` is ``None`` when the entry replays.  Systems
+        without weight memos yield nothing.
+        """
+        return iter(())
+
     # -- optional metrics ----------------------------------------------------------
 
     def bit_width(self, value: Any) -> int:
@@ -616,6 +626,9 @@ class _InternedAlgebraicSystem(NumberSystem):
     _add_keys: Callable[[Any, Any], Any]
     _conj_key: Callable[[Any], Any]
     _from_key: Callable[[Any], Any]
+    # Unmemoised exact quotient on keys (``None`` when it leaves the
+    # ring); only the sanitizer's ``weight_div`` replay uses it.
+    _div_keys: Callable[[Any, Any], Any]
 
     def __init__(self) -> None:
         # Probe coefficient bit-widths on the cold insert path only, so
@@ -831,6 +844,33 @@ class _InternedAlgebraicSystem(NumberSystem):
             raise DDError(f"unknown weight-table id {key!r}")
         return self.table.value(key)
 
+    def replay_memos(self, samples: int) -> Iterator[Tuple[str, Any, Optional[str]]]:
+        # The memos are keyed by operand ids: resolve both operands and
+        # rerun the ring kernel on their canonical keys, bypassing every
+        # memo (the inverse memo included).
+        for memo, kernel in (
+            (self._mul_memo, self._mul_keys),
+            (self._add_memo, self._add_keys),
+            (self._div_memo, self._div_keys),
+        ):
+            for key, cached in list(islice(memo.items(), samples)):
+                yield memo.name, key, self._replay_problem(kernel, key, cached)
+
+    def _replay_problem(
+        self, kernel: Callable[[Any, Any], Any], key: Tuple[int, int], cached: Any
+    ) -> Optional[str]:
+        try:
+            left_id, right_id = key
+            left = self.value_for_key(left_id)
+            right = self.value_for_key(right_id)
+            expected = kernel(left.key(), right.key())
+        except Exception as error:  # malformed key or a swept operand
+            return f"cannot be replayed: {error}"
+        got = None if cached is _INEXACT else cached.key()
+        if got != expected:
+            return f"cached {cached!r}, the ring kernel gives key {expected!r}"
+        return None
+
     # -- conversions ----------------------------------------------------
 
     def from_complex(self, value: complex) -> Any:
@@ -890,6 +930,12 @@ class _InternedAlgebraicSystem(NumberSystem):
 # ---------------------------------------------------------------------------
 
 
+def _qomega_div_keys(
+    numerator: Tuple[int, ...], denominator: Tuple[int, ...]
+) -> Tuple[int, ...]:
+    return qomega_mul(numerator, qomega_inverse(denominator))
+
+
 class AlgebraicQOmegaSystem(_InternedAlgebraicSystem):
     """Exact weights in the cyclotomic field ``Q[omega]``.
 
@@ -909,6 +955,7 @@ class AlgebraicQOmegaSystem(_InternedAlgebraicSystem):
         self._mul_keys = qomega_mul
         self._add_keys = qomega_add
         self._conj_key = qomega_conj
+        self._div_keys = _qomega_div_keys
         self._from_key = QOmega.from_canonical_key
         # Algorithm 2 divides by the same few pivots over and over; their
         # field inverses (canonical keys, not interned weights) are
@@ -1015,6 +1062,7 @@ class AlgebraicGcdSystem(_InternedAlgebraicSystem):
         self._mul_keys = domega_mul
         self._add_keys = domega_add
         self._conj_key = domega_conj
+        self._div_keys = domega_divide
         self._from_key = DOmega.from_canonical_key
         # canonical_associate is a fundamental-unit walk plus a
         # lexicographic scan; the same pivot quotients recur across many

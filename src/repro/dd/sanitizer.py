@@ -429,6 +429,7 @@ class Sanitizer:
         uid_map = self._uid_map()
         self._replay_add_cache(uid_map, report)
         self._replay_mat_vec_cache(uid_map, report)
+        self._replay_weight_memos(report)
         return report
 
     # ------------------------------------------------------------------
@@ -524,6 +525,16 @@ class Sanitizer:
                         "stale-memo",
                         f"mat-vec cache entry {key!r} cannot be replayed: {error}",
                     )
+                )
+
+    def _replay_weight_memos(self, report: SanitizerReport) -> None:
+        """Replay the exact systems' ``weight_mul``/``weight_add``/
+        ``weight_div`` memos (see ``NumberSystem.replay_memos``)."""
+        for memo, key, problem in self.manager.system.replay_memos(self.memo_samples):
+            report.memo_entries_checked += 1
+            if problem is not None:
+                report.violations.append(
+                    SanitizerViolation("stale-memo", f"{memo} entry {key!r}: {problem}")
                 )
 
     # ------------------------------------------------------------------

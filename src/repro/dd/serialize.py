@@ -74,31 +74,34 @@ def _system_tag(manager: DDManager) -> str:
     raise DDError(f"unknown number system {system.name!r}")
 
 
+def _visit(
+    manager: DDManager, node: Node, order: List, index_of: Dict[int, int]
+) -> int:
+    """Append ``node``'s record after those of its children (depth-first,
+    children in edge order); returns its index in ``order``."""
+    if node.is_terminal:
+        return -1
+    existing = index_of.get(node.uid)
+    if existing is not None:
+        return existing
+    children = []
+    for child in node.edges:
+        children.append(
+            {
+                "node": _visit(manager, child.node, order, index_of),
+                "weight": _weight_payload(manager, child.weight),
+            }
+        )
+    index = len(order)
+    index_of[node.uid] = index
+    order.append({"level": node.level, "children": children})
+    return index
+
+
 def dumps(manager: DDManager, edge: Edge) -> str:
     """Serialise ``edge`` (vector or matrix DD) to a JSON string."""
     order: List = []
-    index_of: Dict[int, int] = {}
-
-    def visit(node: Node) -> int:
-        if node.is_terminal:
-            return -1
-        existing = index_of.get(node.uid)
-        if existing is not None:
-            return existing
-        children = []
-        for child in node.edges:
-            children.append(
-                {
-                    "node": visit(child.node),
-                    "weight": _weight_payload(manager, child.weight),
-                }
-            )
-        index = len(order)
-        index_of[node.uid] = index
-        order.append({"level": node.level, "children": children})
-        return index
-
-    root_index = visit(edge.node)
+    root_index = _visit(manager, edge.node, order, {})
     document = {
         "format": _FORMAT_VERSION,
         "system": _system_tag(manager),

@@ -221,7 +221,6 @@ def reparent_spans(
             depth = span.depth
             if depth == 0 and parent_span_id is not None:
                 attrs["parent_span_id"] = parent_span_id
-            span.tracer = tracer
             span.start += offset
             span.end += offset
             span.depth = rebase + depth
@@ -252,7 +251,7 @@ def reparent_spans(
         if depth == 0 and parent_span_id is not None:
             attrs["parent_span_id"] = parent_span_id
         span = new(Span)
-        span.tracer = tracer
+        span.tracer = None  # completed spans hold no tracer (no ring cycle)
         span.name = record["name"]
         span.attrs = attrs
         start = record["start"] + offset

@@ -38,12 +38,16 @@ class Span:
     :func:`repro.obs.propagate.reparent_spans` carry the worker's real
     process id so the Chrome exporter can lay every worker out on its
     own lane.
+
+    ``tracer`` is the recording tracer while the span is open.  A
+    completed span lands in the tracer's ring and drops the reference,
+    so the ring and its spans never form a reference cycle.
     """
 
     __slots__ = ("tracer", "name", "attrs", "depth", "start", "end", "pid", "tid")
 
     def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, Any]) -> None:
-        self.tracer = tracer
+        self.tracer: Optional[Tracer] = tracer
         self.name = name
         self.attrs = attrs
         self.depth = 0
@@ -63,6 +67,7 @@ class Span:
 
     def __enter__(self) -> "Span":
         tracer = self.tracer
+        assert tracer is not None, "a completed span cannot be re-entered"
         stack = tracer._stack
         self.depth = len(stack)
         stack.append(self)
@@ -76,7 +81,9 @@ class Span:
         tb: Optional[TracebackType],
     ) -> None:
         tracer = self.tracer
+        assert tracer is not None
         self.end = tracer._clock() - tracer.epoch
+        self.tracer = None
         stack = tracer._stack
         if stack and stack[-1] is self:
             stack.pop()

@@ -22,23 +22,51 @@ __all__ = ["measure_probabilities", "sample_counts", "measure_and_collapse"]
 
 def _subtree_norms(manager: DDManager, state: Edge) -> Dict[int, float]:
     """Squared norms of every node's sub-vector (memoised, bottom-up)."""
-    system = manager.system
     norms: Dict[int, float] = {}
-
-    def recurse(edge: Edge) -> float:
-        if manager.is_zero_edge(edge):
-            return 0.0
-        weight_sq = abs(system.to_complex(edge.weight)) ** 2
-        if edge.is_terminal:
-            return weight_sq
-        total = norms.get(edge.node.uid)
-        if total is None:
-            total = sum(recurse(child) for child in edge.node.edges)
-            norms[edge.node.uid] = total
-        return weight_sq * total
-
-    recurse(state)
+    _subtree_norm(manager, state, norms)
     return norms
+
+
+# The recursive walks of this module are module-level functions taking
+# their memo as an argument: a nested closure that calls itself holds
+# itself (and the manager it captured) in a reference cycle.
+
+
+def _subtree_norm(manager: DDManager, edge: Edge, norms: Dict[int, float]) -> float:
+    if manager.is_zero_edge(edge):
+        return 0.0
+    weight_sq = abs(manager.system.to_complex(edge.weight)) ** 2
+    if edge.is_terminal:
+        return weight_sq
+    total = norms.get(edge.node.uid)
+    if total is None:
+        total = sum(_subtree_norm(manager, child, norms) for child in edge.node.edges)
+        norms[edge.node.uid] = total
+    return weight_sq * total
+
+
+def _edge_mass(manager: DDManager, edge: Edge, norms: Dict[int, float]) -> float:
+    """Squared norm of the sub-vector ``edge`` denotes, weight included."""
+    if manager.is_zero_edge(edge):
+        return 0.0
+    weight_sq = abs(manager.system.to_complex(edge.weight)) ** 2
+    if edge.is_terminal:
+        return weight_sq
+    return weight_sq * norms[edge.node.uid]
+
+
+def _mass_one(
+    manager: DDManager, edge: Edge, target_level: int, norms: Dict[int, float]
+) -> float:
+    """Probability mass with the target qubit == 1 inside this sub-DD."""
+    if manager.is_zero_edge(edge) or edge.is_terminal:
+        return 0.0
+    weight_sq = abs(manager.system.to_complex(edge.weight)) ** 2
+    if edge.node.level == target_level:
+        return weight_sq * _edge_mass(manager, edge.node.edges[1], norms)
+    return weight_sq * sum(
+        _mass_one(manager, child, target_level, norms) for child in edge.node.edges
+    )
 
 
 def measure_probabilities(manager: DDManager, state: Edge, qubit: int) -> float:
@@ -47,28 +75,10 @@ def measure_probabilities(manager: DDManager, state: Edge, qubit: int) -> float:
         raise SimulationError("cannot measure the all-zero pseudo-state")
     target_level = manager.level_of_qubit(qubit)
     norms = _subtree_norms(manager, state)
-
-    def node_norm(edge: Edge) -> float:
-        if manager.is_zero_edge(edge):
-            return 0.0
-        weight_sq = abs(manager.system.to_complex(edge.weight)) ** 2
-        if edge.is_terminal:
-            return weight_sq
-        return weight_sq * norms[edge.node.uid]
-
-    def recurse(edge: Edge) -> float:
-        """Probability mass with qubit == 1 inside this sub-DD."""
-        if manager.is_zero_edge(edge) or edge.is_terminal:
-            return 0.0
-        weight_sq = abs(manager.system.to_complex(edge.weight)) ** 2
-        if edge.node.level == target_level:
-            return weight_sq * node_norm(edge.node.edges[1])
-        return weight_sq * sum(recurse(child) for child in edge.node.edges)
-
-    total = node_norm(state)
+    total = _edge_mass(manager, state, norms)
     if total <= 0.0:
         raise SimulationError("state has zero norm")
-    return recurse(state) / total
+    return _mass_one(manager, state, target_level, norms) / total
 
 
 def measure_and_collapse(
@@ -108,7 +118,7 @@ def measure_and_collapse(
         raise SimulationError(
             f"cannot post-select outcome {outcome} with probability ~0"
         )
-    collapsed = _project(manager, state, manager.level_of_qubit(qubit), outcome)
+    collapsed = _project(manager, state, manager.level_of_qubit(qubit), outcome, {})
     if renormalize is None:
         renormalize = manager.system.supports_arbitrary_complex
     if renormalize:
@@ -125,29 +135,33 @@ def measure_and_collapse(
     return (outcome, probability, collapsed)
 
 
-def _project(manager: DDManager, state: Edge, target_level: int, bit: int) -> Edge:
+def _project(
+    manager: DDManager,
+    edge: Edge,
+    target_level: int,
+    bit: int,
+    cache: Dict[int, Edge],
+) -> Edge:
     """Zero out the opposite branch of ``target_level`` everywhere."""
-    cache: Dict[int, Edge] = {}
-
-    def recurse(edge: Edge) -> Edge:
-        if manager.is_zero_edge(edge) or edge.is_terminal:
-            return edge
-        node = edge.node
-        cached = cache.get(node.uid)
-        if cached is None:
-            if node.level == target_level:
-                children = [manager.zero_edge(), manager.zero_edge()]
-                children[bit] = node.edges[bit]
-            else:
-                children = [recurse(child) for child in node.edges]
-            if all(manager.is_zero_edge(child) for child in children):
-                cached = manager.zero_edge()
-            else:
-                cached = manager.make_node(node.level, children)
-            cache[node.uid] = cached
-        return manager.scale(cached, edge.weight)
-
-    return recurse(state)
+    if manager.is_zero_edge(edge) or edge.is_terminal:
+        return edge
+    node = edge.node
+    cached = cache.get(node.uid)
+    if cached is None:
+        if node.level == target_level:
+            children = [manager.zero_edge(), manager.zero_edge()]
+            children[bit] = node.edges[bit]
+        else:
+            children = [
+                _project(manager, child, target_level, bit, cache)
+                for child in node.edges
+            ]
+        if all(manager.is_zero_edge(child) for child in children):
+            cached = manager.zero_edge()
+        else:
+            cached = manager.make_node(node.level, children)
+        cache[node.uid] = cached
+    return manager.scale(cached, edge.weight)
 
 
 def sample_counts(
@@ -167,24 +181,14 @@ def sample_counts(
         raise SimulationError("cannot sample from the all-zero pseudo-state")
     rng = random.Random(seed)
     norms = _subtree_norms(manager, state)
-    system = manager.system
-
-    def edge_mass(edge: Edge) -> float:
-        if manager.is_zero_edge(edge):
-            return 0.0
-        weight_sq = abs(system.to_complex(edge.weight)) ** 2
-        if edge.is_terminal:
-            return weight_sq
-        return weight_sq * norms[edge.node.uid]
-
     histogram: Dict[int, int] = {}
     for _ in range(shots):
         index = 0
         edge = state
         while not edge.is_terminal:
             node = edge.node
-            mass_zero = edge_mass(node.edges[0])
-            mass_one = edge_mass(node.edges[1])
+            mass_zero = _edge_mass(manager, node.edges[0], norms)
+            mass_one = _edge_mass(manager, node.edges[1], norms)
             total = mass_zero + mass_one
             bit = 1 if rng.random() * total >= mass_zero else 0
             if bit:

@@ -185,6 +185,27 @@ class TestCorruptedDDs:
             manager.sanitize(state)
         assert excinfo.value.code == "stale-memo"
 
+    @pytest.mark.parametrize("memo_name", ["weight_mul", "weight_add", "weight_div"])
+    @pytest.mark.parametrize("kind", ["algebraic-q", "algebraic-gcd"])
+    def test_stale_weight_memo_entry_caught(self, kind, memo_name):
+        manager = make_managers(3)[kind]
+        # The default apply kernel fills the weight memos only.
+        state = Simulator(manager).run(grover_circuit(3, 5)).state
+        system = manager.system
+        clean = manager.sanitize(state)
+        assert clean.memo_entries_checked > 0
+        (memo,) = [m for m in system._weight_memos() if m.name == memo_name]
+        assert len(memo) > 0
+        key, good = next(iter(memo.items()))
+        two = system.add(system.one, system.one)
+        memo.put(key, system.one if good is two else two)
+        report = manager.sanitize(state, raise_on_violation=False)
+        stale = [v for v in report.violations if v.code == "stale-memo"]
+        assert any(memo_name in violation.message for violation in stale)
+        with pytest.raises(SanitizerError) as excinfo:
+            manager.sanitize(state)
+        assert excinfo.value.code == "stale-memo"
+
     def test_non_raising_report_collects_all(self):
         manager = make_managers(1)["numeric"]
         system = manager.system

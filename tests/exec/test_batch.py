@@ -95,6 +95,14 @@ class TestFailureIsolation:
         assert failure.attempts == 1
         assert not failure.timed_out
         assert failure.metrics  # partial telemetry survived the crash
+        # The engine collectors read the tables, not the manager, so the
+        # snapshot still carries them after the failed job's manager died.
+        for name in (
+            "dd.ut.vector.inserts",
+            "dd.gc.resident_nodes",
+            "weights.weight_table.size",
+        ):
+            assert name in failure.metrics
         assert batch.metrics["exec.batch.failed"] == 1
         assert batch.metrics["exec.batch.completed"] == 2
 
