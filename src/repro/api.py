@@ -59,7 +59,7 @@ from repro.dd.manager import (
     algebraic_manager,
     numeric_manager,
 )
-from repro.dd.mem import MemoryBudget, MemoryConfig
+from repro.dd.mem import MemoryBudget, MemoryConfig, cyclic_gc_paused
 from repro.errors import ConfigError
 from repro.obs import Telemetry, TraceContext
 from repro.sim.simulator import Simulator
@@ -349,9 +349,19 @@ def run(
     payload the in-process path would produce (or raises the service's
     typed :class:`~repro.errors.QueueFull` /
     :class:`~repro.errors.DeadlineExceeded` rejections).
+
+    The in-process path runs with CPython's cyclic collector paused
+    (:func:`~repro.dd.mem.cyclic_gc_paused`) until the job's manager
+    has been freed by reference counting.
     """
     if client is not None:
         return client.submit(request)
+    with cyclic_gc_paused():
+        return _run_cold(request, telemetry)
+
+
+def _run_cold(request: RunRequest, telemetry: Optional[Telemetry]) -> RunResult:
+    """:func:`run` on a fresh stack, which dies with this frame."""
     config = request.config
     circuit = request.circuit
     scope = telemetry if telemetry is not None else config.create_telemetry()
@@ -428,8 +438,11 @@ def run_with(
         final_vector = manager.to_statevector(outcome.state)
         fidelity = float(abs(np.vdot(reference_vector, final_vector)) ** 2)
 
-    # Metrics read before the state release below so node_count /
-    # is_zero_state observe the live DD.
+    # The last trace step already counted the final state's nodes; only
+    # an empty circuit has no step.  Metrics are read before the state
+    # release below so is_zero_state observes the live DD.
+    steps = outcome.trace.steps
+    node_count = steps[-1].node_count if steps else outcome.node_count
     result = RunResult(
         label=request.job_label,
         config=config,
@@ -437,7 +450,7 @@ def run_with(
         num_gates=len(circuit),
         state_payload=serialize.dumps(manager, outcome.state),
         trace=trace,
-        node_count=outcome.node_count,
+        node_count=node_count,
         is_zero_state=outcome.is_zero_state,
         seconds=seconds,
         final_error=final_error,

@@ -40,6 +40,13 @@ This module converts the engine to steady-state memory:
   does not fit, a typed :class:`~repro.errors.MemoryBudgetExceeded`
   is raised instead of thrashing.
 
+* **The interpreter's collector.**  A job's objects form no reference
+  cycle (``tests/dd/test_acyclic.py``), so CPython's *cyclic* collector
+  has nothing to free in them and would only re-traverse the live
+  tables.  :func:`cyclic_gc_paused` switches it off for the lifetime
+  of a job; reference counting frees the job's diagram before it
+  resumes.
+
 Observability: collections run under a ``dd.gc`` span and feed the
 ``dd.gc.*`` instruments (see ``docs/OBSERVABILITY.md``).  The sanitizer
 audits the stored refcounts against a full reachability recount via
@@ -48,6 +55,8 @@ audits the stored refcounts against a full reachability recount via
 
 from __future__ import annotations
 
+import gc
+import threading
 import time
 import weakref
 from contextlib import contextmanager
@@ -80,6 +89,7 @@ __all__ = [
     "MemoryBudget",
     "MemoryConfig",
     "MemoryManager",
+    "cyclic_gc_paused",
 ]
 
 #: Bucket layout of the ``dd.gc.seconds`` histogram (seconds; a pass
@@ -95,6 +105,66 @@ GC_SECONDS_BUCKETS: Tuple[float, ...] = (
 _NODE_BYTES = 160
 _EDGE_BYTES = 56
 _WEIGHT_BYTES = 120
+
+
+# State of cyclic_gc_paused: the collector state is process-global, so
+# the nesting depth and the state to restore are too.
+_gc_pause_lock = threading.Lock()
+_gc_pause_depth = 0
+_gc_resume_enabled = False
+
+
+class _CyclicGcPause:
+    """The context object returned by :func:`cyclic_gc_paused`.
+
+    Stateless (the state is module-level), so one shared instance
+    serves every caller and entering allocates nothing.  A class, not
+    a ``@contextmanager`` generator: the generator's ``StopIteration``
+    would be the first allocation after the collector is re-enabled,
+    so a collection due from the job would start inside the exit.
+    """
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        global _gc_pause_depth, _gc_resume_enabled
+        with _gc_pause_lock:
+            if _gc_pause_depth == 0:
+                _gc_resume_enabled = gc.isenabled()
+                gc.disable()
+            _gc_pause_depth += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        global _gc_pause_depth
+        with _gc_pause_lock:
+            _gc_pause_depth -= 1
+            if _gc_pause_depth == 0 and _gc_resume_enabled:
+                gc.enable()
+
+
+_CYCLIC_GC_PAUSE = _CyclicGcPause()
+
+
+def cyclic_gc_paused() -> _CyclicGcPause:
+    """Pause CPython's cyclic collector: ``with cyclic_gc_paused():``.
+
+    The job owners -- :meth:`repro.sim.simulator.Simulator.run`,
+    :func:`repro.api.run`, the batch engine's per-job attempt and the
+    serve tier's warm worker -- run each job inside this context.  The
+    engine builds no reference cycles, so the collector would free
+    nothing there; it would only traverse the job's growing tables
+    again and again.  Reference counting frees the job's objects
+    before the outermost exit.
+
+    The collector state is process-global, so the pause nests and is
+    thread-safe: the outermost entry records :func:`gc.isenabled` and
+    disables the collector, the outermost exit restores the recorded
+    state (exceptions included -- ``with`` exits on every path).  A
+    caller that disabled the collector itself keeps it disabled, and
+    concurrent jobs on several threads leave it enabled only once the
+    last of them has finished.
+    """
+    return _CYCLIC_GC_PAUSE
 
 
 class MemoryBudget:

@@ -60,6 +60,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.api import RunRequest, RunResult, run
+from repro.dd.mem import cyclic_gc_paused
 from repro.errors import ConfigError, ReproError
 from repro.obs import (
     Telemetry,
@@ -220,7 +221,24 @@ def _execute_job(
     workers serialize the ring to plain dicts; the in-process fallback
     passes ``serialize=False`` and ships the live :class:`Span`
     objects instead (no pickle boundary to cross).
+
+    The attempt runs with CPython's cyclic collector paused
+    (:func:`~repro.dd.mem.cyclic_gc_paused`).  The job's telemetry
+    scope keeps its tables alive after :func:`~repro.api.run` returns;
+    it lives in ``_attempt_job``'s frame, so reference counting frees
+    it before the collector resumes.
     """
+    with cyclic_gc_paused():
+        return _attempt_job(index, request, timeout, serialize)
+
+
+def _attempt_job(
+    index: int,
+    request: RunRequest,
+    timeout: Optional[float],
+    serialize: bool,
+) -> Tuple[int, Dict[str, Any]]:
+    """The body of :func:`_execute_job`."""
     context = request.trace_context
     scope = request.config.create_telemetry()
     if context is not None and not scope.tracer.enabled:

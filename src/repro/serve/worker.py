@@ -50,6 +50,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.api import RunRequest, run_with
 from repro.circuits.canonical import canonical_hash
+from repro.dd.mem import cyclic_gc_paused
 from repro.errors import ServeError
 from repro.exec.batch import JobTimeout, deadline_guard
 from repro.obs import Telemetry, export_local_spans, export_worker_spans
@@ -143,7 +144,15 @@ class WarmWorker:
         trace context, spans ship home on every outcome path, and any
         exception (including a ``SIGALRM`` deadline hit armed by the
         caller) becomes a typed failure response.
+
+        The request runs with CPython's cyclic collector paused
+        (:func:`~repro.dd.mem.cyclic_gc_paused`), so a stack evicted or
+        discarded here is freed by reference counting before it resumes.
         """
+        with cyclic_gc_paused():
+            return self._execute(serve_request)
+
+    def _execute(self, serve_request: ServeRequest) -> ServeResponse:
         request = serve_request.request
         context = request.trace_context
         simulator, scope, warm = self._entry_for(request)

@@ -27,6 +27,7 @@ from repro.dd.apply import prepare_gate
 from repro.dd.edge import Edge
 from repro.dd.gatebuild import build_gate_dd
 from repro.dd.manager import DDManager
+from repro.dd.mem import cyclic_gc_paused
 from repro.dd.sanitizer import Sanitizer, SanitizerMode
 from repro.errors import SimulationError
 from repro.obs import Telemetry
@@ -245,7 +246,21 @@ class Simulator:
         ``step_callback(gate_index, state_edge)`` runs after every gate;
         the evaluation harness uses it to compute per-gate errors against
         a reference run.
+
+        The gates run with CPython's cyclic collector paused
+        (:func:`~repro.dd.mem.cyclic_gc_paused`): the engine builds no
+        reference cycles, so the collector would only re-traverse the
+        growing tables.
         """
+        with cyclic_gc_paused():
+            return self._run(circuit, initial_state, step_callback)
+
+    def _run(
+        self,
+        circuit: Circuit,
+        initial_state: Optional[Edge],
+        step_callback: Optional[Callable[[int, Edge], None]],
+    ) -> SimulationResult:
         if circuit.num_qubits != self.manager.num_qubits:
             raise SimulationError(
                 f"circuit width {circuit.num_qubits} does not match "

@@ -99,6 +99,12 @@ class TestRun:
         manager, state = result.restore_state()
         assert manager.node_count(state) == result.node_count
 
+    def test_empty_circuit_counts_its_initial_state(self):
+        # No gate, so no trace step holds the count: run walks |000>.
+        result = run(RunRequest(Circuit(3, name="empty")))
+        assert result.num_gates == 0 and not result.trace.steps
+        assert result.node_count == 3
+
     def test_error_reference_fills_error_series(self):
         request = RunRequest(
             bell(),
