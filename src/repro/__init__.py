@@ -31,7 +31,7 @@ Quickstart (the :mod:`repro.api` facade is the documented surface)::
     result = run(RunRequest(circuit, SimulatorConfig(system="algebraic")))
     print(result.node_count, result.is_zero_state)
 
-Sweeps fan out over a process pool with :func:`repro.run_batch`; see
+Sweeps fan out over worker processes with :func:`repro.run_batch`; see
 ``docs/API.md``.
 """
 

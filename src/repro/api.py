@@ -20,7 +20,7 @@ construction surfaces with one typed facade:
 
 :func:`run` / :func:`run_batch`
     Execute one request in-process, or fan a list of independent
-    requests out over a worker pool (:mod:`repro.exec`).
+    requests out over worker processes (:mod:`repro.exec`).
 
 Quickstart::
 
@@ -127,9 +127,6 @@ class SimulatorConfig:
         :class:`~repro.errors.MemoryBudgetExceeded`.
     record_bit_widths:
         Collect the per-gate max coefficient bit-width (Fig. 5).
-    use_apply_kernel:
-        Apply gates through the direct vector kernel (default) or the
-        matrix-DD fallback.
     telemetry:
         ``"off"``, ``"metrics"`` or ``"tracing"``.
     """
@@ -144,7 +141,6 @@ class SimulatorConfig:
     max_nodes: Optional[int] = None
     max_bytes: Optional[int] = None
     record_bit_widths: bool = False
-    use_apply_kernel: bool = True
     telemetry: str = "metrics"
 
     def __post_init__(self) -> None:
@@ -340,8 +336,8 @@ def run(
 ) -> RunResult:
     """Execute one request in the current process.
 
-    ``telemetry`` overrides the scope built from the config -- the batch
-    worker passes its own so a partial snapshot survives job failure.
+    ``telemetry`` overrides the scope built from the config (a caller
+    that keeps it can read a partial snapshot after a failure).
 
     ``client`` targets a running :class:`repro.serve.SimulationService`
     instead: the request goes through the service's shard router, warm
@@ -378,14 +374,15 @@ def run_with(
 ) -> RunResult:
     """Execute one request on an *existing* simulator stack.
 
-    This is the warm path behind :func:`run` (which builds a fresh
-    manager and simulator per call) and the persistent service's worker
-    loop (:mod:`repro.serve`), which reuses one manager per
-    configuration so unique/compute/weight tables stay hot across
-    requests.  The simulator's manager must match the request's
-    configuration and circuit width; results are byte-identical to the
-    cold path because DD canonicity makes serialized payloads
-    value-based, not history-based.
+    This is the body behind :func:`run` (which builds a fresh manager
+    and simulator per call) and behind the worker core
+    (:mod:`repro.exec.worker`) that batch jobs and the persistent
+    service share; the service reuses one manager per configuration so
+    unique/compute/weight tables stay hot across requests.  The
+    simulator's manager must match the request's configuration and
+    circuit width; results are byte-identical to the cold path because
+    DD canonicity makes serialized payloads value-based, not
+    history-based.
 
     ``telemetry`` is the scope whose metrics snapshot lands on the
     result (defaults to the simulator's own scope).  ``keep_state=False``
@@ -400,11 +397,12 @@ def run_with(
 
     reference_states: List[Edge] = []
     reference_manager: Optional[DDManager] = None
+    reference_final: Optional[Edge] = None
     if request.error_reference is not None:
         reference_manager = request.error_reference.create_manager(circuit.num_qubits)
-        make_simulator(reference_manager, request.error_reference).run(
+        reference_final = make_simulator(reference_manager, request.error_reference).run(
             circuit, step_callback=lambda _i, state: reference_states.append(state)
-        )
+        ).state
 
     # The timed run only appends state edges; the dense error series is
     # filled in afterwards so reference conversions (expensive for
@@ -423,7 +421,7 @@ def run_with(
     trace = outcome.trace
     final_error: Optional[float] = None
     fidelity: Optional[float] = None
-    if reference_manager is not None:
+    if reference_manager is not None and reference_final is not None:
         from repro.sim.accuracy import state_error
 
         errors: List[float] = []
@@ -434,7 +432,7 @@ def run_with(
         final_error = errors[-1] if errors else 0.0
         import numpy as np
 
-        reference_vector = reference_manager.to_statevector(reference_states[-1])
+        reference_vector = reference_manager.to_statevector(reference_final)
         final_vector = manager.to_statevector(outcome.state)
         fidelity = float(abs(np.vdot(reference_vector, final_vector)) ** 2)
 
@@ -477,21 +475,22 @@ def run_batch(
     telemetry: Optional[Telemetry] = None,
     client: Optional[Any] = None,
 ) -> "BatchResult":
-    """Fan independent requests out over a process pool.
+    """Fan independent requests out over worker processes.
 
     ``workers=1`` is the deterministic in-process fallback (used by
-    tests); any higher count uses a
-    :class:`concurrent.futures.ProcessPoolExecutor`.  Per-job
+    tests); any higher count starts that many child workers of the
+    shared worker core (:mod:`repro.exec.worker`).  Per-job
     ``timeout`` (seconds) and bounded ``retries`` with exponential
-    ``backoff`` turn individual crashes into typed
-    :class:`~repro.exec.batch.JobFailure` records instead of aborting
-    the sweep.  See :mod:`repro.exec` for the engine semantics.
+    ``backoff`` turn individual crashes -- a dead worker process
+    included -- into typed :class:`~repro.exec.batch.JobFailure`
+    records instead of aborting the sweep.  See :mod:`repro.exec` for
+    the engine semantics.
 
     ``client`` routes the whole batch through a running
-    :class:`repro.serve.SimulationService` instead of spawning a pool:
+    :class:`repro.serve.SimulationService` instead of starting workers:
     warm workers, shared result cache, per-request ``timeout`` as the
     service deadline.  ``workers``/``retries``/``backoff`` are the
-    pool's knobs and are ignored on the client path (the service's own
+    engine's knobs and are ignored on the client path (the service's own
     worker fleet and backpressure apply); the returned
     :class:`~repro.exec.batch.BatchResult` keeps the same shape, with
     typed rejections recorded as failures.

@@ -43,7 +43,7 @@ __all__ = ["canonical_hash", "circuit_fingerprint", "config_fingerprint"]
 
 #: Fingerprint format version -- bump on any change to the hashed
 #: material so stale cross-process caches can never alias.
-_VERSION = 1
+_VERSION = 2
 
 #: The semantic configuration fields, in hash order.  ``telemetry`` is
 #: deliberately absent (observability is invisible to results).
@@ -58,7 +58,6 @@ _CONFIG_FIELDS: Tuple[str, ...] = (
     "max_nodes",
     "max_bytes",
     "record_bit_widths",
-    "use_apply_kernel",
 )
 
 

@@ -190,16 +190,17 @@ class _ApplyKernel:
         # Exact systems compute both rows of the 2x2 block in one fused
         # pair-walk (:meth:`_combine_pair`).  Ring arithmetic is exact,
         # so the re-association cannot change the canonical result; the
-        # numeric system keeps the two-add path, which reproduces the
-        # matrix-DD float operation order bit for bit.
+        # numeric system keeps the two-add path, whose float operation
+        # order every numeric result (payloads, eps-sweep accuracy and
+        # node counts) is pinned to.
         self._fused = not system.supports_arbitrary_complex
-        # Byte-identity escape hatch: with a control *below* the target
-        # the kernel combines satisfied/unsatisfied projections, which
-        # re-associates the additions relative to the matrix path.  Exact
-        # rings are indifferent (the canonical result cannot change) but
-        # float addition is not associative, so the numeric system
-        # delegates these rare gates to ``build_gate_dd`` + ``mat_vec``
-        # wholesale -- the same code path, hence bit-identical results.
+        # Float-order pin: with a control *below* the target the kernel
+        # combines satisfied/unsatisfied projections, which re-associates
+        # the additions relative to ``build_gate_dd`` + ``mat_vec``.
+        # Exact rings are indifferent (the canonical result cannot
+        # change) but float addition is not associative, so the numeric
+        # system delegates these rare gates to that product wholesale
+        # and keeps the float order its results were recorded with.
         if self.lowest_lower_control and not self._fused:
             self._matrix_spec = (
                 tuple(entries),

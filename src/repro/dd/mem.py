@@ -149,8 +149,9 @@ def cyclic_gc_paused() -> _CyclicGcPause:
     """Pause CPython's cyclic collector: ``with cyclic_gc_paused():``.
 
     The job owners -- :meth:`repro.sim.simulator.Simulator.run`,
-    :func:`repro.api.run`, the batch engine's per-job attempt and the
-    serve tier's warm worker -- run each job inside this context.  The
+    :func:`repro.api.run` and the worker core that batch jobs and
+    served requests share (:meth:`repro.exec.worker.WarmWorker.execute`)
+    -- run each job inside this context.  The
     engine builds no reference cycles, so the collector would free
     nothing there; it would only traverse the job's growing tables
     again and again.  Reference counting frees the job's objects

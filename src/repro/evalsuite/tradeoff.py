@@ -163,7 +163,7 @@ def run_tradeoff(
     Fig. 2.  ``include_gcd`` adds the (slower) Algorithm-3 run used by
     the normalisation ablation.  The sweep points are independent jobs
     dispatched through :func:`repro.api.run_batch`; ``workers > 1``
-    fans them out over a process pool with byte-identical results.
+    fans them out over worker processes with byte-identical results.
     """
     requests = tradeoff_requests(
         circuit,

@@ -1,29 +1,35 @@
-r"""Batch engine internals: worker protocol, timeout, retry, aggregation.
+r"""The batch engine: retry rounds, aggregation, tracing.
 
 The public entry point is :func:`run_batch` (re-exported by
-:mod:`repro.exec` and fronted by :func:`repro.api.run_batch`).  The
+:mod:`repro.exec` and fronted by :func:`repro.api.run_batch`).  It is a
+thin client of the one worker core (:mod:`repro.exec.worker`): every
+job runs as a :class:`~repro.exec.worker.ServeRequest` on a *cold*
+worker (``max_warm=0``: a fresh stack per job, nothing kept).  The
 engine's contract, in order of importance:
 
-**Determinism.**  ``workers=1`` runs every job sequentially in the
-current process.  ``workers>1`` fans out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`, but because every job
-builds its *own* manager/simulator stack from a picklable
+**Determinism.**  ``workers=1`` runs every job sequentially on the
+caller's thread through an in-process client.  ``workers>1`` starts
+that many pipe-connected child workers, with one dispatcher thread per
+child pulling the next job, but because every job builds its *own*
+manager/simulator stack from a picklable
 :class:`~repro.api.SimulatorConfig` and ships its state home as a
 :mod:`repro.dd.serialize` document, the per-job payloads are
 byte-identical across worker counts (asserted by
 ``tests/exec/test_determinism.py`` and the CI batch-smoke job).
 
-**Failure isolation.**  A job that raises, times out or loses its
+**Failure isolation.**  A job that raises, times out or kills its
 worker process becomes a typed :class:`JobFailure` -- the rest of the
-sweep completes.  Retries happen in rounds: every failed job of round
-*n* is re-submitted in round *n+1* after an exponential backoff sleep,
-up to ``retries`` extra rounds.
+sweep completes.  A dead child fails only the job it was running and is
+replaced before the next one.  Retries happen in rounds: every failed
+job of round *n* is re-submitted in round *n+1* after an exponential
+backoff sleep, up to ``retries`` extra rounds.
 
 **Timeouts** are enforced worker-side with ``SIGALRM`` /
-``signal.setitimer`` so a wedged simulation is interrupted inside the
-job and still reports its partial telemetry.  When the engine runs off
-the main thread (or on platforms without ``SIGALRM``) the deadline is
-silently skipped rather than mis-fired.
+``signal.setitimer`` (:func:`~repro.exec.worker.deadline_guard`) so a
+wedged simulation is interrupted inside the job and still reports its
+partial telemetry.  When ``workers=1`` runs off the main thread (or on
+platforms without ``SIGALRM``) the deadline is silently skipped rather
+than mis-fired.
 
 **Telemetry.**  Each job snapshots its own registry (success *or*
 failure); :func:`run_batch` merges the per-job ``sim.*``/``dd.*``
@@ -38,46 +44,38 @@ tracing enabled, :func:`run_batch` mints a
 id + the coordinator clock anchor) and injects it into every request.
 Workers then record spans -- an ``exec.job`` root span wrapping the
 whole job, the simulator's ``sim.gate``/``dd.apply.direct`` spans
-below it -- and serialize them into the job outcome dict alongside the
-metrics snapshot, on the success, failure *and* timeout paths.  The
-coordinator re-parents every shipped span under its ``exec.batch``
-span with per-worker clock-offset alignment
-(:func:`repro.obs.reparent_spans`), so one export of the coordinator
-tracer yields a single multi-process trace with one track per worker.
-Trace propagation never touches simulation state: results are
-byte-identical with tracing on or off.
+below it -- and ship them home on the response, on the success,
+failure *and* timeout paths.  The coordinator re-parents every shipped
+span under its ``exec.batch`` span with per-worker clock-offset
+alignment (:func:`repro.obs.reparent_spans`), so one export of the
+coordinator tracer yields a single multi-process trace with one track
+per worker.  Trace propagation never touches simulation state: results
+are byte-identical with tracing on or off.
 """
 
 from __future__ import annotations
 
-import signal
-import threading
+import queue
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.api import RunRequest, RunResult, run
-from repro.dd.mem import cyclic_gc_paused
-from repro.errors import ConfigError, ReproError
-from repro.obs import (
-    Telemetry,
-    TraceContext,
-    export_local_spans,
-    export_worker_spans,
-    merge_snapshots,
-    reparent_spans,
+from repro.api import RunRequest, RunResult
+from repro.errors import ConfigError
+from repro.exec.worker import (
+    InlineWorkerClient,
+    ProcessWorkerClient,
+    ServeRequest,
+    ServeResponse,
+    WorkerClient,
+    WorkerOptions,
 )
+from repro.obs import Telemetry, TraceContext, merge_snapshots, reparent_spans
 
-__all__ = [
-    "BatchResult",
-    "JobFailure",
-    "JobTimeout",
-    "deadline_guard",
-    "run_batch",
-]
+__all__ = ["BatchResult", "JobFailure", "run_batch"]
 
 #: Histogram buckets for per-job wall time (seconds): batch jobs span
 #: sub-10ms smoke circuits up to multi-minute GSE sweeps.
@@ -85,9 +83,11 @@ JOB_SECONDS_BUCKETS: Tuple[float, ...] = (
     0.01, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0,
 )
 
+#: A batch job runs on a cold worker: a fresh stack per job, dropped
+#: with it -- no warm entries, no circuit hashing.
+_COLD = WorkerOptions(max_warm=0)
 
-class JobTimeout(ReproError):
-    """A batch job exceeded its per-job wall-clock deadline."""
+_Job = Tuple[int, RunRequest]
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class JobFailure:
     ``metrics`` is the partial telemetry snapshot taken inside the
     worker after the last failing attempt -- for a timeout it shows how
     far the simulation got (gate counters, table sizes) before the
-    alarm fired.
+    alarm fired.  A job whose worker process died has none.
     """
 
     index: int
@@ -168,153 +168,66 @@ class BatchResult:
 
 
 # ---------------------------------------------------------------------------
-# Worker side
+# Dispatch
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def deadline_guard(seconds: Optional[float]) -> Iterator[None]:
-    """Raise :class:`JobTimeout` in this thread after ``seconds``.
+def _attempt(
+    client: WorkerClient, job: _Job, timeout: Optional[float]
+) -> ServeResponse:
+    """One attempt of one job; a failure to deliver it fails only this job.
 
-    ``SIGALRM`` only works on the main thread of a process; worker
-    processes always run jobs there, but the in-process fallback may
-    not (e.g. under a threaded test runner), in which case the deadline
-    is skipped rather than armed incorrectly.  Shared with the
-    persistent service's worker loop (:mod:`repro.serve.worker`), whose
-    child processes likewise run jobs on their main thread.
+    The worker answers every job it receives; what reaches this handler
+    is a worker process that died mid-job (:class:`~repro.errors.ServeError`,
+    the client has already replaced it) or a request that could not be
+    sent to it.
     """
-    if (
-        not seconds
-        or not hasattr(signal, "SIGALRM")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        yield
-        return
-
-    def _alarm(signum: int, frame: Any) -> None:
-        raise JobTimeout(f"job exceeded its {seconds:g}s deadline")
-
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    index, request = job
     try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
+        return client.execute(ServeRequest(seq=index, request=request, timeout=timeout))
+    except Exception as exc:  # noqa: BLE001 - becomes this job's JobFailure
+        return ServeResponse(
+            seq=index,
+            ok=False,
+            worker_id=client.worker_id,
+            error_type=type(exc).__name__,
+            message=str(exc),
+            traceback=traceback.format_exc(),
+        )
 
 
-def _execute_job(
-    index: int,
-    request: RunRequest,
-    timeout: Optional[float],
-    serialize: bool = True,
-) -> Tuple[int, Dict[str, Any]]:
-    """Run one job; always return a picklable outcome payload.
-
-    Executed inside the pool workers (and, for ``workers=1``, inline).
-    The telemetry scope is created *before* the deadline is armed so a
-    timed-out job still ships its partial snapshot home.  When the
-    request carries a :class:`~repro.obs.TraceContext` the scope is
-    forced into tracing mode, the whole attempt is wrapped in an
-    ``exec.job`` span, and the span ring rides home in the outcome
-    dict -- on the success, failure and timeout paths alike.  Pool
-    workers serialize the ring to plain dicts; the in-process fallback
-    passes ``serialize=False`` and ships the live :class:`Span`
-    objects instead (no pickle boundary to cross).
-
-    The attempt runs with CPython's cyclic collector paused
-    (:func:`~repro.dd.mem.cyclic_gc_paused`).  The job's telemetry
-    scope keeps its tables alive after :func:`~repro.api.run` returns;
-    it lives in ``_attempt_job``'s frame, so reference counting frees
-    it before the collector resumes.
-    """
-    with cyclic_gc_paused():
-        return _attempt_job(index, request, timeout, serialize)
+def _drain(
+    client: WorkerClient, jobs: "queue.SimpleQueue[_Job]", timeout: Optional[float]
+) -> List[ServeResponse]:
+    """One child's dispatcher: feed it the next job until none is left."""
+    responses: List[ServeResponse] = []
+    while True:
+        try:
+            job = jobs.get_nowait()
+        except queue.Empty:
+            return responses
+        responses.append(_attempt(client, job, timeout))
 
 
-def _attempt_job(
-    index: int,
-    request: RunRequest,
-    timeout: Optional[float],
-    serialize: bool,
-) -> Tuple[int, Dict[str, Any]]:
-    """The body of :func:`_execute_job`."""
-    context = request.trace_context
-    scope = request.config.create_telemetry()
-    if context is not None and not scope.tracer.enabled:
-        scope = Telemetry(metrics=scope.metrics.enabled, tracing=True)
-    export = export_worker_spans if serialize else export_local_spans
-    job_attrs: Dict[str, Any] = {"label": request.job_label, "index": index}
-    if context is not None:
-        job_attrs["trace_id"] = context.trace_id
-        job_attrs["parent_span_id"] = context.parent_span_id
-    try:
-        with deadline_guard(timeout):
-            with scope.tracer.span("exec.job", **job_attrs):
-                result = run(request, telemetry=scope)
-        outcome: Dict[str, Any] = {"ok": True, "result": result}
-        if context is not None:
-            outcome["spans"] = export(scope.tracer, context)
-        return index, outcome
-    except Exception as exc:  # noqa: BLE001 - converted into JobFailure
-        outcome = {
-            "ok": False,
-            "error_type": type(exc).__name__,
-            "message": str(exc),
-            "timed_out": isinstance(exc, JobTimeout),
-            "traceback": traceback.format_exc(),
-            "metrics": dict(scope.metrics.snapshot()),
-        }
-        if context is not None:
-            outcome["spans"] = export(scope.tracer, context)
-        return index, outcome
+def _run_round(
+    jobs: Sequence[_Job], clients: Sequence[WorkerClient], timeout: Optional[float]
+) -> List[ServeResponse]:
+    """One attempt for every job in ``jobs``; responses in any order."""
+    if len(clients) == 1:
+        return [_attempt(clients[0], job, timeout) for job in jobs]
+    pending: "queue.SimpleQueue[_Job]" = queue.SimpleQueue()
+    for job in jobs:
+        pending.put(job)
+    with ThreadPoolExecutor(
+        max_workers=len(clients), thread_name_prefix="repro-batch"
+    ) as dispatchers:
+        drained = dispatchers.map(_drain, clients, repeat(pending), repeat(timeout))
+        return [response for responses in drained for response in responses]
 
 
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
-
-
-def _run_round(
-    jobs: Sequence[Tuple[int, RunRequest]],
-    workers: int,
-    timeout: Optional[float],
-) -> List[Tuple[int, Dict[str, Any]]]:
-    """One attempt for every job in ``jobs``; outcomes in any order."""
-    if workers <= 1:
-        return [
-            _execute_job(index, request, timeout, serialize=False)
-            for index, request in jobs
-        ]
-
-    outcomes: List[Tuple[int, Dict[str, Any]]] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures: Dict["Future[Tuple[int, Dict[str, Any]]]", int] = {
-            pool.submit(_execute_job, index, request, timeout): index
-            for index, request in jobs
-        }
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                index = futures[future]
-                try:
-                    outcomes.append(future.result())
-                except Exception as exc:  # noqa: BLE001 - worker died hard
-                    outcomes.append(
-                        (
-                            index,
-                            {
-                                "ok": False,
-                                "error_type": type(exc).__name__,
-                                "message": f"worker process failed: {exc}",
-                                "timed_out": False,
-                                "traceback": traceback.format_exc(),
-                                "metrics": {},
-                            },
-                        )
-                    )
-    return outcomes
 
 
 def run_batch(
@@ -325,16 +238,17 @@ def run_batch(
     backoff: float = 0.5,
     telemetry: Optional[Telemetry] = None,
 ) -> BatchResult:
-    """Execute independent requests, optionally across a process pool.
+    """Execute independent requests, optionally across worker processes.
 
     Parameters
     ----------
     requests:
         The jobs; results stay index-aligned with this sequence.
     workers:
-        ``1`` (default) runs sequentially in-process -- fully
-        deterministic, no subprocesses.  Higher counts use a
-        :class:`~concurrent.futures.ProcessPoolExecutor`.
+        ``1`` (default) runs sequentially on the caller's thread --
+        fully deterministic, no subprocesses.  Higher counts start that
+        many child workers (at most one per job), each fed by its own
+        dispatcher thread.
     timeout:
         Per-job wall-clock deadline in seconds (``None`` = unlimited).
     retries:
@@ -386,72 +300,84 @@ def run_batch(
 
     results: List[Optional[RunResult]] = [None] * len(requests)
     attempts: Dict[int, int] = {index: 0 for index in range(len(requests))}
-    last_failure: Dict[int, Dict[str, Any]] = {}
-    pending: List[Tuple[int, RunRequest]] = list(enumerate(submitted))
+    last_failure: Dict[int, ServeResponse] = {}
+    pending: List[_Job] = list(enumerate(submitted))
 
     started = time.perf_counter()
     batch_attrs: Dict[str, Any] = {"jobs": len(requests), "workers": workers}
     if context is not None:
         batch_attrs["trace_id"] = context.trace_id
         batch_attrs["span_id"] = context.parent_span_id
-    with scope.tracer.span("exec.batch", **batch_attrs) as batch_span:
-        round_no = 0
-        while pending and round_no <= retries:
-            if round_no:
-                jobs_retried.inc(len(pending))
-                time.sleep(backoff * (2 ** (round_no - 1)))
-            failed_this_round: List[Tuple[int, RunRequest]] = []
-            for index, outcome in _run_round(pending, workers, timeout):
-                attempts[index] += 1
-                payload = outcome.pop("spans", None)
-                if payload is not None:
-                    span_payloads.append(payload)
-                if outcome["ok"]:
-                    result: RunResult = outcome["result"]
-                    result.attempts = attempts[index]
-                    results[index] = result
-                    last_failure.pop(index, None)
-                    jobs_completed.inc()
-                    job_seconds.observe(result.seconds)
-                else:
-                    last_failure[index] = outcome
-                    if outcome["timed_out"]:
-                        jobs_timed_out.inc()
-                    failed_this_round.append((index, submitted[index]))
-            pending = sorted(failed_this_round)
-            round_no += 1
+    clients: List[WorkerClient] = (
+        [InlineWorkerClient(0, _COLD)]
+        if workers == 1
+        else [
+            ProcessWorkerClient(worker_id, _COLD)
+            for worker_id in range(min(workers, len(requests)))
+        ]
+    )
+    try:
+        with scope.tracer.span("exec.batch", **batch_attrs) as batch_span:
+            round_no = 0
+            while pending and round_no <= retries:
+                if round_no:
+                    jobs_retried.inc(len(pending))
+                    time.sleep(backoff * (2 ** (round_no - 1)))
+                failed_this_round: List[_Job] = []
+                for response in _run_round(pending, clients, timeout):
+                    index = response.seq
+                    attempts[index] += 1
+                    if response.spans is not None:
+                        span_payloads.append(response.spans)
+                    if response.result is not None:
+                        result = response.result
+                        result.attempts = attempts[index]
+                        results[index] = result
+                        last_failure.pop(index, None)
+                        jobs_completed.inc()
+                        job_seconds.observe(result.seconds)
+                    else:
+                        last_failure[index] = response
+                        if response.timed_out:
+                            jobs_timed_out.inc()
+                        failed_this_round.append((index, submitted[index]))
+                pending = sorted(failed_this_round)
+                round_no += 1
 
-        # Re-parent the shipped worker spans under this exec.batch span
-        # while it is still open, so containment holds in the export:
-        # offset-aligned worker times always land inside the batch
-        # window.  Each worker process gets its own pid track; tid
-        # numbers the payloads (attempts) within a worker.
-        if context is not None:
-            tids: Dict[int, int] = {}
-            for payload in span_payloads:
-                worker_pid = int(payload.get("pid", 0))
-                tid = tids.get(worker_pid, 0)
-                tids[worker_pid] = tid + 1
-                adopted = reparent_spans(
-                    scope.tracer,
-                    payload,
-                    parent_depth=batch_span.depth,
-                    tid=tid,
-                )
-                trace_spans.inc(len(adopted))
+            # Re-parent the shipped worker spans under this exec.batch
+            # span while it is still open, so containment holds in the
+            # export: offset-aligned worker times always land inside the
+            # batch window.  Each worker process gets its own pid track;
+            # tid numbers the payloads (attempts) within a worker.
+            if context is not None:
+                tids: Dict[int, int] = {}
+                for payload in span_payloads:
+                    worker_pid = int(payload.get("pid", 0))
+                    tid = tids.get(worker_pid, 0)
+                    tids[worker_pid] = tid + 1
+                    adopted = reparent_spans(
+                        scope.tracer,
+                        payload,
+                        parent_depth=batch_span.depth,
+                        tid=tid,
+                    )
+                    trace_spans.inc(len(adopted))
+    finally:
+        for client in clients:
+            client.close()
 
     failures = [
         JobFailure(
             index=index,
             label=requests[index].job_label,
-            error_type=outcome["error_type"],
-            message=outcome["message"],
+            error_type=response.error_type,
+            message=response.message,
             attempts=attempts[index],
-            timed_out=outcome["timed_out"],
-            traceback=outcome.get("traceback", ""),
-            metrics=outcome.get("metrics", {}),
+            timed_out=response.timed_out,
+            traceback=response.traceback,
+            metrics=response.metrics,
         )
-        for index, outcome in sorted(last_failure.items())
+        for index, response in sorted(last_failure.items())
     ]
     jobs_failed.inc(len(failures))
     seconds = time.perf_counter() - started

@@ -43,9 +43,9 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro import errors
 from repro.api import RunRequest, RunResult
 from repro.exec.batch import JOB_SECONDS_BUCKETS
+from repro.exec.worker import SHUTDOWN, ServeRequest, ServeResponse
 from repro.obs import Telemetry, TraceContext, new_span_id, new_trace_id, reparent_spans
 from repro.serve.cache import DEFAULT_CAPACITY, ResultCache
-from repro.serve.protocol import SHUTDOWN, ServeRequest, ServeResponse
 from repro.serve.router import DEFAULT_BUCKET_SIZE, ShardRouter
 
 __all__ = ["ServiceFrontend"]

@@ -9,14 +9,15 @@ Two worker modes:
 
 ``"inline"``
     Workers live in the service process
-    (:class:`~repro.serve.worker.InlineWorkerClient`).  Deterministic,
+    (:class:`~repro.exec.worker.InlineWorkerClient`).  Deterministic,
     no subprocess cost, ideal for tests and single-machine batch use;
     deadlines are enforced at the queue and by response abandonment.
 
 ``"process"``
     Each worker is a child process behind a pipe
-    (:class:`~repro.serve.worker.ProcessWorkerClient`): true
-    parallelism across cores and hard ``SIGALRM`` deadlines mid-run.
+    (:class:`~repro.exec.worker.ProcessWorkerClient`): true
+    parallelism across cores, hard ``SIGALRM`` deadlines mid-run, and a
+    fresh child after one dies (only the request it was serving fails).
 
 Use as a context manager::
 
@@ -41,20 +42,14 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro import errors
 from repro.api import RunRequest, RunResult
 from repro.exec.batch import BatchResult, JobFailure
+from repro.exec.worker import DEFAULT_MAX_WARM, WorkerOptions
 from repro.obs import Telemetry
 from repro.serve.cache import DEFAULT_CAPACITY
 from repro.serve.frontend import DEFAULT_QUEUE_SIZE, ServiceFrontend
 from repro.serve.router import DEFAULT_BUCKET_SIZE
-from repro.serve.worker import (
-    DEFAULT_MAX_WARM,
-    InlineWorkerClient,
-    ProcessWorkerClient,
-    WorkerOptions,
-)
+from repro.serve.worker import MODES, start_workers
 
 __all__ = ["SimulationService"]
-
-_MODES = ("inline", "process")
 
 
 class SimulationService:
@@ -88,9 +83,9 @@ class SimulationService:
     ) -> None:
         if workers < 1:
             raise errors.ConfigError("service needs at least one worker")
-        if mode not in _MODES:
+        if mode not in MODES:
             raise errors.ConfigError(
-                f"unknown service mode {mode!r}; choose from {_MODES}"
+                f"unknown service mode {mode!r}; choose from {MODES}"
             )
         self.workers = workers
         self.mode = mode
@@ -118,18 +113,8 @@ class SimulationService:
             raise errors.ServiceClosed("a closed service cannot be restarted")
         if self._frontend is not None:
             return self
-        if self.mode == "inline":
-            clients: List[Any] = [
-                InlineWorkerClient(index, self._options)
-                for index in range(self.workers)
-            ]
-        else:
-            clients = [
-                ProcessWorkerClient(index, self._options)
-                for index in range(self.workers)
-            ]
         self._frontend = ServiceFrontend(
-            clients,
+            start_workers(self.mode, self.workers, self._options),
             telemetry=self.telemetry,
             cache_capacity=self._cache_capacity,
             queue_size=self._queue_size,

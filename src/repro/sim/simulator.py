@@ -95,17 +95,12 @@ class Simulator:
         driver metrics from engine metrics.
     config:
         A :class:`repro.api.SimulatorConfig` (``None``: its defaults).
-        The simulator reads four of its fields:
+        The simulator reads three of its fields:
 
         * ``record_bit_widths`` -- collect the max integer bit-width
           after every gate (slightly costly; needed for the Fig. 5
           overhead analysis).  Only then are ``sim.state.max_bit_width``
           and ``sim.state.bit_width`` registered.
-        * ``use_apply_kernel`` -- apply gates through the direct
-          vector-DD kernel (:func:`repro.dd.apply.apply_gate`) instead
-          of building a matrix DD and multiplying.  Both paths yield the
-          same canonical state; the kernel skips the identity levels.
-          ``unitary`` and ``run_matrix_matrix`` always use matrix DDs.
         * ``sanitize`` -- a :class:`~repro.dd.sanitizer.SanitizerMode`
           value: ``"off"``, ``"check-on-root"`` (full invariant check of
           the final state of each :meth:`run`) or ``"check-every-op"``
@@ -138,7 +133,6 @@ class Simulator:
             config = SimulatorConfig()
         self.manager = manager
         self.record_bit_widths = config.record_bit_widths
-        self.use_apply_kernel = config.use_apply_kernel
         self.telemetry = telemetry if telemetry is not None else manager.telemetry
         registry = self.telemetry.metrics
         self._gate_counter = registry.counter("sim.gates")
@@ -211,27 +205,30 @@ class Simulator:
         return entries
 
     def _apply_operation(self, state: Edge, operation: Operation) -> Edge:
-        """One gate application: direct kernel or matrix-DD fallback."""
-        if self.use_apply_kernel:
-            key = (
-                operation.gate.name,
-                operation.gate.params,
+        """One gate application through the direct vector-DD kernel.
+
+        The kernel (:func:`repro.dd.apply.prepare_gate`) skips the
+        identity levels a matrix DD would walk; ``unitary`` and
+        ``run_matrix_matrix`` use the gate's matrix DD (:meth:`gate_dd`).
+        """
+        key = (
+            operation.gate.name,
+            operation.gate.params,
+            operation.target,
+            operation.controls,
+            operation.negative_controls,
+        )
+        kernel = self._kernel_cache.get(key)
+        if kernel is None:
+            kernel = prepare_gate(
+                self.manager,
+                self._import_entries(operation),
                 operation.target,
-                operation.controls,
-                operation.negative_controls,
+                controls=operation.controls,
+                negative_controls=operation.negative_controls,
             )
-            kernel = self._kernel_cache.get(key)
-            if kernel is None:
-                kernel = prepare_gate(
-                    self.manager,
-                    self._import_entries(operation),
-                    operation.target,
-                    controls=operation.controls,
-                    negative_controls=operation.negative_controls,
-                )
-                self._kernel_cache[key] = kernel
-            return kernel.apply(state)
-        return self.manager.mat_vec(self.gate_dd(operation), state)
+            self._kernel_cache[key] = kernel
+        return kernel.apply(state)
 
     # ------------------------------------------------------------------
 

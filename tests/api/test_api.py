@@ -117,6 +117,19 @@ class TestRun:
         errors = [e for e in result.trace.errors() if e is not None]
         assert len(errors) == result.num_gates
 
+    def test_empty_circuit_with_error_reference(self):
+        # No gate, so no per-gate error: the error is that of the
+        # initial states, and both runs start from |000>.
+        request = RunRequest(
+            Circuit(3, name="empty"),
+            SimulatorConfig(system="numeric", eps=1e-2),
+            error_reference=SimulatorConfig(),
+        )
+        result = run(request)
+        assert result.num_gates == 0 and not result.trace.steps
+        assert result.final_error == 0.0
+        assert result.fidelity == pytest.approx(1.0, abs=1e-12)
+
     def test_to_dict_is_json_ready(self):
         import json
 

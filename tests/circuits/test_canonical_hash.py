@@ -84,7 +84,6 @@ class TestConfigFingerprint:
             SimulatorConfig(max_nodes=10_000),
             SimulatorConfig(max_bytes=1 << 20),
             SimulatorConfig(record_bit_widths=True),
-            SimulatorConfig(use_apply_kernel=False),
         ]
         hashes = {canonical_hash(circuit, config) for config in [base, *variants]}
         assert len(hashes) == len(variants) + 1

@@ -89,15 +89,25 @@ def test_run_frees_its_manager(managers, config, gc_threshold):
         pytest.param(SimulatorConfig(telemetry="off"), id="telemetry-off"),
         pytest.param(SimulatorConfig(telemetry="metrics"), id="telemetry-metrics"),
         pytest.param(SimulatorConfig(telemetry="tracing"), id="telemetry-tracing"),
-        pytest.param(
-            SimulatorConfig(system="numeric", use_apply_kernel=False), id="matrix-path"
-        ),
     ],
 )
 def test_run_modes_free_their_manager(managers, config):
     with cyclic_gc_off():
         result = run(RunRequest(_circuit(), config))
         del result
+        assert_freed(managers)
+
+
+def test_matrix_path_frees_its_manager(managers):
+    """Each gate's matrix DD times the state, on the manager directly."""
+    with cyclic_gc_off():
+        manager = SimulatorConfig(system="numeric").create_manager(_circuit().num_qubits)
+        simulator = Simulator(manager)
+        state = manager.zero_state()
+        for operation in _circuit():
+            state = manager.mat_vec(simulator.gate_dd(operation), state)
+        assert serialize.dumps(manager, state)
+        del manager, simulator, state
         assert_freed(managers)
 
 

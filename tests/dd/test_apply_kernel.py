@@ -12,7 +12,6 @@ import random
 
 import pytest
 
-from repro.api import SimulatorConfig
 from repro.circuits import gates
 from repro.circuits.circuit import Circuit
 from repro.dd.apply import apply_gate, prepare_gate
@@ -55,15 +54,15 @@ def test_kernel_matches_matrix_path(kind, seed):
     num_qubits = rng.randint(3, 5)
     circuit = random_circuit(rng, num_qubits, 30)
     manager = FACTORIES[kind](num_qubits)
-    # Both simulators share one manager, so canonicity makes equal
-    # states pointer-equal and ``edges_equal`` is an O(1) check.
-    kernel_sim = Simulator(manager)
-    matrix_sim = Simulator(manager, config=SimulatorConfig(use_apply_kernel=False))
+    # The reference multiplies each gate's matrix DD into the state on
+    # the same manager, so canonicity makes equal states pointer-equal
+    # and ``edges_equal`` is an O(1) check.
+    simulator = Simulator(manager)
     kernel_state = manager.zero_state()
     matrix_state = manager.zero_state()
     for index, operation in enumerate(circuit):
-        kernel_state = kernel_sim.apply(kernel_state, operation)
-        matrix_state = matrix_sim.apply(matrix_state, operation)
+        kernel_state = simulator.apply(kernel_state, operation)
+        matrix_state = manager.mat_vec(simulator.gate_dd(operation), matrix_state)
         assert manager.edges_equal(kernel_state, matrix_state), (
             f"kernel diverged from matrix path at gate {index} "
             f"({operation.gate.name}) under {kind}"

@@ -1,8 +1,8 @@
 """Every job runs with CPython's cyclic collector paused, and only then.
 
 The engine is acyclic (``tests/dd/test_acyclic.py``), so the cyclic
-collector has nothing to free in a job and the job owners -- ``run``,
-the batch engine's per-job attempt and the serve tier's warm worker --
+collector has nothing to free in a job and the job owners -- ``run``
+and the worker core that batch jobs and served requests share --
 pause it with :func:`repro.dd.mem.cyclic_gc_paused`.  These tests pin
 the contract: the caller's collector state comes back on every outcome
 path, a collector the caller disabled stays disabled, concurrent jobs
@@ -21,10 +21,9 @@ from repro.algorithms.grover import grover_circuit
 from repro.api import RunRequest, SimulatorConfig, run, run_batch
 from repro.circuits.library import ghz_circuit
 from repro.dd.mem import cyclic_gc_paused
-from repro.errors import DeadlineExceeded, MemoryBudgetExceeded
-from repro.exec import batch as batch_engine
+from repro.errors import DeadlineExceeded, MemoryBudgetExceeded, ServeError
 from repro.serve import SimulationService
-from repro.serve.worker import WarmWorker
+from repro.exec.worker import WarmWorker
 
 SMALL = RunRequest(grover_circuit(4, 5), SimulatorConfig(system="numeric"))
 OVER_BUDGET = RunRequest(grover_circuit(4, 5), SimulatorConfig(max_nodes=1))
@@ -119,7 +118,11 @@ def _serve(request, timeout=None):
     with SimulationService(workers=1, mode="inline") as service:
         try:
             service.submit(request, timeout=timeout)
-        except (DeadlineExceeded, MemoryBudgetExceeded):
+        except DeadlineExceeded:
+            return False
+        except ServeError as exc:
+            # A failed job comes back as the service's typed error.
+            assert "MemoryBudgetExceeded" in str(exc)
             return False
     # close() waits for the worker, which finishes an abandoned job.
     return True
@@ -240,9 +243,7 @@ def test_no_collection_during_run(window, request_):
 
 @pytest.mark.parametrize("request_", WINDOW_JOBS)
 def test_no_collection_during_batch_job(window, monkeypatch, request_):
-    monkeypatch.setattr(
-        batch_engine, "_execute_job", window.wrap(batch_engine._execute_job)
-    )
+    monkeypatch.setattr(WarmWorker, "execute", window.wrap(WarmWorker.execute))
     _run_batch(request_)
     assert window.jobs == 1
     assert window.started == 0

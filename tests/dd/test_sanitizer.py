@@ -31,9 +31,17 @@ from tests.dd.conftest import MANAGER_KINDS, make_managers
 
 EVERY_OP = SimulatorConfig(sanitize="check-every-op")
 ON_ROOT = SimulatorConfig(sanitize="check-on-root")
-MATRIX_PATH = SimulatorConfig(use_apply_kernel=False)
 
 SINGLE_QUBIT = ["x", "y", "z", "h", "s", "sdg", "t", "tdg"]
+
+
+def run_matrix_path(manager, circuit: Circuit) -> Edge:
+    """Every gate as its matrix DD times the state (the mat-vec path)."""
+    simulator = Simulator(manager)
+    state = manager.zero_state()
+    for operation in circuit:
+        state = manager.mat_vec(simulator.gate_dd(operation), state)
+    return state
 
 
 def random_circuit(rng: random.Random, num_qubits: int, depth: int) -> Circuit:
@@ -161,7 +169,7 @@ class TestCorruptedDDs:
         circuit.h(0)
         circuit.cx(0, 1)
         # The matrix path populates the mat-vec compute table.
-        state = Simulator(manager, config=MATRIX_PATH).run(circuit).state
+        state = run_matrix_path(manager, circuit)
         cache = manager._mat_vec_cache
         assert len(cache) > 0
         key, good = next(iter(cache.items()))
@@ -175,7 +183,7 @@ class TestCorruptedDDs:
     def test_stale_add_entry_caught(self, kind):
         manager = make_managers(3)[kind]
         circuit = grover_circuit(3, 5)
-        state = Simulator(manager, config=MATRIX_PATH).run(circuit).state
+        state = run_matrix_path(manager, circuit)
         cache = manager._add_cache
         assert len(cache) > 0
         key, good = next(iter(cache.items()))

@@ -16,7 +16,6 @@ Satellite fixes under test:
 
 import pytest
 
-from repro.api import SimulatorConfig
 from repro.circuits.circuit import Circuit
 from repro.dd.manager import algebraic_manager, numeric_manager
 from repro.dd.unique_table import ComputeTable, UniqueTable
@@ -133,7 +132,10 @@ class TestApplyRoutingCounters:
         circuit = Circuit(2, name="bell")
         circuit.h(0)
         circuit.cx(0, 1)
-        Simulator(manager, config=SimulatorConfig(use_apply_kernel=False)).run(circuit)
+        simulator = Simulator(manager)
+        state = manager.zero_state()
+        for operation in circuit:
+            state = manager.mat_vec(simulator.gate_dd(operation), state)
         stats = manager.statistics()
         assert stats["apply_delegated_ops"] == 0
         assert stats["apply_direct_ops"] == 0

@@ -6,6 +6,7 @@ here across all four number-system configurations, alongside failure
 isolation, bounded retry and the worker-side timeout.
 """
 
+import os
 import time
 
 import pytest
@@ -13,8 +14,8 @@ import pytest
 from repro import Circuit
 from repro.api import RunRequest, SimulatorConfig, run_batch
 from repro.errors import ConfigError
-from repro.exec import BatchResult, JobFailure
-from repro.exec.batch import JobTimeout
+from repro.exec import BatchResult, JobFailure, JobTimeout
+from repro.exec import worker as worker_core
 from repro.obs import merge_snapshots
 
 
@@ -117,21 +118,53 @@ class TestFailureIsolation:
         assert report["results"] == [None]
         assert report["failures"][0]["error_type"] == "MemoryBudgetExceeded"
 
+    def test_dead_worker_fails_only_its_job(self, monkeypatch):
+        requests = [
+            RunRequest(ghz_t(width), config, label=f"job{width}-{index}")
+            for width in (3, 4)
+            for index, config in enumerate(FOUR_SYSTEMS)
+        ]
+        victim = 5
+        sequential = run_batch(requests, workers=1)
+        assert sequential.ok
+        real_run_with = worker_core.run_with
+
+        def dies_on_victim(request, simulator, **options):
+            if request.job_label == requests[victim].job_label:
+                os._exit(1)  # the worker process dies mid-job
+            return real_run_with(request, simulator, **options)
+
+        # Patched before run_batch forks, so every child inherits it.
+        monkeypatch.setattr(worker_core, "run_with", dies_on_victim)
+        batch = run_batch(requests, workers=2)
+        (failure,) = batch.failures
+        assert isinstance(failure, JobFailure)
+        assert failure.index == victim
+        assert failure.label == requests[victim].job_label
+        assert failure.error_type == "ServeError"
+        assert failure.attempts == 1
+        assert not failure.timed_out
+        assert batch.metrics["exec.batch.completed"] == len(requests) - 1
+        for index, (seq, par) in enumerate(zip(sequential.results, batch.results)):
+            if index == victim:
+                assert par is None
+                continue
+            assert par.state_payload == seq.state_payload
+            assert par.trace.node_counts() == seq.trace.node_counts()
+
 
 class TestRetry:
     def test_flaky_job_succeeds_on_retry(self, monkeypatch):
-        from repro.api import run as real_run
-        from repro.exec import batch as batch_mod
-
+        real_run_with = worker_core.run_with
         calls = {"count": 0}
 
-        def flaky_run(request, telemetry=None):
+        def flaky_run_with(request, simulator, **options):
             calls["count"] += 1
             if calls["count"] == 1:
                 raise RuntimeError("transient worker hiccup")
-            return real_run(request, telemetry=telemetry)
+            return real_run_with(request, simulator, **options)
 
-        monkeypatch.setattr(batch_mod, "run", flaky_run)
+        monkeypatch.setattr(worker_core, "run_with", flaky_run_with)
         batch = run_batch(
             [RunRequest(ghz_t(), label="flaky")], workers=1, retries=2, backoff=0.0
         )
@@ -140,12 +173,10 @@ class TestRetry:
         assert batch.metrics["exec.batch.retries"] == 1
 
     def test_retries_are_bounded(self, monkeypatch):
-        from repro.exec import batch as batch_mod
-
-        def always_fails(request, telemetry=None):
+        def always_fails(request, simulator, **options):
             raise RuntimeError("permanent")
 
-        monkeypatch.setattr(batch_mod, "run", always_fails)
+        monkeypatch.setattr(worker_core, "run_with", always_fails)
         batch = run_batch(
             [RunRequest(ghz_t(), label="doomed")], workers=1, retries=2, backoff=0.0
         )
@@ -159,22 +190,20 @@ class TestRetry:
         sleeps = []
         monkeypatch.setattr(batch_mod.time, "sleep", sleeps.append)
 
-        def always_fails(request, telemetry=None):
+        def always_fails(request, simulator, **options):
             raise RuntimeError("permanent")
 
-        monkeypatch.setattr(batch_mod, "run", always_fails)
+        monkeypatch.setattr(worker_core, "run_with", always_fails)
         run_batch([RunRequest(ghz_t())], workers=1, retries=3, backoff=0.5)
         assert sleeps == [0.5, 1.0, 2.0]  # exponential
 
 
 class TestTimeout:
     def test_wedged_job_times_out(self, monkeypatch):
-        from repro.exec import batch as batch_mod
-
-        def wedged(request, telemetry=None):
+        def wedged(request, simulator, **options):
             time.sleep(30.0)
 
-        monkeypatch.setattr(batch_mod, "run", wedged)
+        monkeypatch.setattr(worker_core, "run_with", wedged)
         started = time.perf_counter()
         batch = run_batch([RunRequest(ghz_t(), label="wedged")], workers=1, timeout=0.2)
         elapsed = time.perf_counter() - started

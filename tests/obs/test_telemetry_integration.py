@@ -108,10 +108,12 @@ class TestRegistryIntegration:
         ]
         assert unused == []
         assert kernel["dd.ct.apply.misses"] > 0
-        matrix = run(
-            RunRequest(circuit, SimulatorConfig(system="algebraic-gcd", use_apply_kernel=False))
-        ).metrics
-        assert matrix["dd.ct.mat_vec.hits"] > 0
+        manager = SimulatorConfig(system="algebraic-gcd").create_manager(circuit.num_qubits)
+        simulator = Simulator(manager)
+        state = manager.zero_state()
+        for operation in circuit:
+            state = manager.mat_vec(simulator.gate_dd(operation), state)
+        assert manager.telemetry.metrics.snapshot()["dd.ct.mat_vec.hits"] > 0
 
     def test_legacy_statistics_match_snapshot(self):
         manager = _run_grover(SYSTEMS["algebraic-q"])

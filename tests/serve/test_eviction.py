@@ -11,8 +11,7 @@ import weakref
 
 from repro.api import RunRequest, SimulatorConfig
 from repro.circuits.library import ghz_circuit
-from repro.serve.protocol import ServeRequest
-from repro.serve.worker import WarmWorker, WorkerOptions
+from repro.exec.worker import ServeRequest, WarmWorker, WorkerOptions
 
 SYSTEMS = ("algebraic", "algebraic-gcd", "numeric")
 

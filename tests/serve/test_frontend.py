@@ -14,8 +14,7 @@ from repro import errors
 from repro.api import RunRequest, SimulatorConfig, run
 from repro.circuits.library import ghz_circuit
 from repro.serve.frontend import ServiceFrontend
-from repro.serve.protocol import ServeResponse
-from repro.serve.worker import InlineWorkerClient
+from repro.exec.worker import InlineWorkerClient, ServeResponse
 
 
 class BlockingClient:

@@ -5,6 +5,9 @@ produce payloads byte-identical to the direct repro.api.run path -- is
 asserted here across all four number systems.
 """
 
+import os
+import signal
+
 import pytest
 
 from repro import errors
@@ -141,6 +144,25 @@ class TestLifecycle:
             SimulationService(mode="threads")
 
 
+class TestWorkerDeath:
+    def test_killed_process_worker_fails_one_request_then_recovers(self):
+        request = RunRequest(_workload(), SimulatorConfig())
+        direct = run(request)
+        with SimulationService(workers=1, mode="process", cache_capacity=0) as service:
+            assert _fingerprint(service.submit(request)) == _fingerprint(direct)
+            child = service._frontend.clients[0]._process
+            os.kill(child.pid, signal.SIGKILL)
+            child.join(timeout=10.0)
+            assert not child.is_alive()
+            with pytest.raises(errors.ServeError) as died:
+                service.submit(request)
+            assert died.type is errors.ServeError
+            recovered = service.submit(request)
+            again = service.submit(request)
+        assert _fingerprint(recovered) == _fingerprint(direct)
+        assert _fingerprint(again) == _fingerprint(direct)
+
+
 class TestTracing:
     def test_request_span_with_reparented_worker_spans(self):
         request = RunRequest(_workload(), SimulatorConfig())
@@ -177,8 +199,7 @@ class TestTracing:
 
 class TestWarmReuse:
     def test_worker_reuses_and_bounds_warm_entries(self):
-        from repro.serve.protocol import ServeRequest
-        from repro.serve.worker import WarmWorker, WorkerOptions
+        from repro.exec.worker import ServeRequest, WarmWorker, WorkerOptions
 
         worker = WarmWorker(0, WorkerOptions(max_warm=2), serialize_spans=False)
         request = RunRequest(_workload(), SimulatorConfig())
@@ -198,8 +219,7 @@ class TestWarmReuse:
         assert worker.warm_entries == 2
 
     def test_failed_request_discards_its_warm_entry(self):
-        from repro.serve.protocol import ServeRequest
-        from repro.serve.worker import WarmWorker, WorkerOptions
+        from repro.exec.worker import ServeRequest, WarmWorker, WorkerOptions
 
         worker = WarmWorker(0, WorkerOptions(), serialize_spans=False)
         config = SimulatorConfig(system="algebraic")
@@ -213,8 +233,7 @@ class TestWarmReuse:
         assert worker.warm_entries == 0
 
     def test_lossy_numeric_entries_are_per_circuit(self):
-        from repro.serve.protocol import ServeRequest
-        from repro.serve.worker import WarmWorker, WorkerOptions
+        from repro.exec.worker import ServeRequest, WarmWorker, WorkerOptions
 
         worker = WarmWorker(0, WorkerOptions(), serialize_spans=False)
         config = SimulatorConfig(system="numeric", eps=1e-5)

@@ -162,11 +162,12 @@ class TestValidation:
             circuit.h(0)
         simulator.run(circuit)
         assert len(simulator._kernel_cache) == 1
-        # Matrix-DD fallback: they share one built gate DD.
-        simulator = Simulator(
-            algebraic_manager(2), config=SimulatorConfig(use_apply_kernel=False)
-        )
-        simulator.run(circuit)
+        # Matrix-DD path: they share one built gate DD.
+        manager = algebraic_manager(2)
+        simulator = Simulator(manager)
+        state = manager.zero_state()
+        for operation in circuit:
+            state = manager.mat_vec(simulator.gate_dd(operation), state)
         assert len(simulator._gate_cache) == 1
 
     def test_step_callback(self):
